@@ -31,7 +31,8 @@ Quick start
 >>> c = rng.standard_normal(n); c[-1] = 0.0
 >>> b = 4.0 + np.abs(a) + np.abs(c)   # diagonally dominant
 >>> d = rng.standard_normal(n)
->>> x = repro.solve(a, b, c, d)       # hybrid tiled-PCR + p-Thomas
+>>> x = repro.solve(a, b, c, d)       # host route: LAPACK ?gtsv
+>>> x = repro.solve(a, b, c, d, algorithm="hybrid")  # the paper's route
 
 Time-stepping loops that solve one matrix against many right-hand
 sides should prepare it once (``handle = repro.prepare(a, b, c)``;
@@ -40,6 +41,7 @@ the engine fingerprints coefficients and serves repeats from its
 factorization cache automatically (see :mod:`repro.engine.prepared`).
 """
 
+from repro.core.validation import SingularSystemError
 from repro.core import (
     GTX480_HEURISTIC,
     BlockThomasFactorization,
@@ -129,6 +131,7 @@ __all__ = [
     "HybridFactorization",
     "CyclicFactorization",
     "CyclicSingularError",
+    "SingularSystemError",
     "PentaFactorization",
     "BlockThomasFactorization",
     "SystemDescriptor",

@@ -32,6 +32,7 @@ to the static heuristic) — calibration state can never fail a solve.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -73,6 +74,7 @@ def _bucket(v: int) -> int:
     return int(math.floor(math.log2(max(int(v), 1))))
 
 
+@functools.lru_cache(maxsize=256)
 def cell_key(m: int, n: int, dtype, periodic: bool, system: str = "") -> str:
     """Canonical cell key for a problem-shape bucket.
 
@@ -153,12 +155,16 @@ def route_from(request, trace) -> dict:
         decision.chosen if decision is not None and decision.chosen
         else trace.backend
     )
+    # the host LAPACK route runs with k unset (route k=None); its
+    # factorizations reuse exactly, like k = 0
+    host = trace.k_source == "host"
     return {
         "backend": backend,
-        "k": int(trace.k),
+        "k": None if host else int(trace.k),
         "workers": int(trace.workers),
         "fingerprint": effective_fingerprint_tier(
-            request.fingerprint, request.rtol, request.dtype, int(trace.k)
+            request.fingerprint, request.rtol, request.dtype,
+            0 if host else int(trace.k),
         ),
         "ranks": int(getattr(trace, "ranks", 1) or 1),
     }
@@ -252,23 +258,23 @@ class PerformanceModel:
         entries = self._cells.get(cell)
         if not entries:
             return None
-        best = None
-        for rkey in sorted(entries):
-            stats = entries[rkey]
-            if stats.count < self.min_samples:
-                continue
+        # cheapest first: the first trusted admissible route wins, so the
+        # admissibility filter (the per-dispatch cost) runs only until
+        # a winner is found
+        ranked = sorted(
+            (stats.mean_s, rkey)
+            for rkey, stats in entries.items()
+            if stats.count >= self.min_samples
+        )
+        for _, rkey in ranked:
             # the stored dict is passed uncopied (admissible must only
             # read it); only the winner is copied on return
             route = self._routes.get(rkey)
             if route is None:
                 route = self._routes[rkey] = json.loads(rkey)
-            if admissible is not None and not admissible(route):
-                continue
-            if best is None or stats.mean_s < best[1].mean_s:
-                best = (route, stats)
-        if best is None:
-            return None
-        return dict(best[0]), best[1]
+            if admissible is None or admissible(route):
+                return dict(route), entries[rkey]
+        return None
 
     def least_sampled(self, cell: str, candidates: list):
         """The candidate route with the fewest observations in ``cell``.

@@ -11,7 +11,10 @@ fully deterministic for a given call sequence:
   heuristic until data says otherwise;
 * **exploit** — the cell has a trusted best route: pick its backend
   and fill in any knobs the caller left unset (``k``, ``workers``,
-  ``fingerprint`` tier).  Routes are admissible only if the backend is
+  ``fingerprint`` tier).  A route with ``k=None`` is the host route
+  (LAPACK ``?gtsv`` where Table III picks ``k > 0``; see
+  :func:`repro.engine.plan.host_route`) and leaves ``k`` unset.
+  Routes are admissible only if the backend is
   among the capability-filtered candidates and every caller-pinned
   knob matches — the router refines requests, it never overrides them;
 * **explore** — every ``1/epsilon``-th selection per cell (a
@@ -22,8 +25,8 @@ fully deterministic for a given call sequence:
 
 Numeric safety is part of admissibility: a ``forced`` fingerprint tier
 (allclose-grade RHS-only reuse on ``k > 0`` plans) is only applied
-when the route is ``k = 0`` — where reuse is bitwise — or the request
-carries an ``rtol=`` contract clearing the dtype floor
+when the route is ``k = 0`` or the host route — where reuse is
+bitwise — or the request carries an ``rtol=`` contract clearing the dtype floor
 (:func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
 
 The model feeds itself: :meth:`AdaptiveRouter.observe` is called by
@@ -44,6 +47,7 @@ from repro.autotune.model import (
 from repro.backends.registry import Router
 from repro.backends.trace import RouteDecision
 from repro.core.transition import GTX480_HEURISTIC, candidate_ks
+from repro.engine.plan import host_route
 
 __all__ = [
     "AdaptiveRouter",
@@ -91,6 +95,12 @@ def candidate_routes(
             ks = (request.k,)
         else:
             ks = candidate_ks(request.m, request.n, heuristic=heuristic)
+            if heuristic.k_for(request.m, request.n) > 0 and host_route(
+                None, request.heuristic, request.parallelism,
+                request.fuse, request.n_windows, request.subtile_scale,
+            ):
+                # k unset: the host route, LAPACK ?gtsv in this cell
+                ks = (None, *ks)
         if request.workers is not None:
             workers_opts = (request.workers,)
         elif caps.max_workers > 1 and request.m >= 64:
@@ -98,23 +108,29 @@ def candidate_routes(
         else:
             workers_opts = (1,)
         for k in ks:
+            # Thomas and the host LAPACK route reuse factorizations
+            # exactly; only hybrid k > 0 needs the rtol license
+            exact = k is None or k == 0
             if request.fingerprint is not None:
                 tiers = (fingerprint_tier(request.fingerprint),)
             else:
                 # the baseline tier is what fingerprint=None actually
                 # runs under for this (k, rtol) — see
                 # :func:`repro.autotune.model.effective_fingerprint_tier`
-                if k != 0 and _rtol_permits(request):
+                if not exact and _rtol_permits(request):
                     tiers = ["auto+rtol"]
                 else:
                     tiers = ["auto"]
-                if caps.prepared and (k == 0 or _rtol_permits(request)):
+                # (the host route explores only its default tier)
+                if caps.prepared and k is not None and (
+                    k == 0 or _rtol_permits(request)
+                ):
                     tiers.append("forced")
             for w in workers_opts:
                 for tier in tiers:
                     routes.append({
                         "backend": backend.name,
-                        "k": int(k),
+                        "k": None if k is None else int(k),
                         "workers": int(w),
                         "fingerprint": tier,
                         "ranks": 1,

@@ -9,6 +9,11 @@ Constructing :class:`~repro.core.hybrid.HybridSolver` directly is now
 an implementation detail of this module (plus ``core`` internals and
 tests); everything else reaches it through the registry or through
 :func:`reference_solver`.
+
+Requests that pin nothing follow the host route like the engine does
+(:func:`~repro.engine.plan.host_route`): where Table III picks
+``k > 0`` they solve with LAPACK ``?gtsv`` — here one call *per
+system*, an independent oracle for the engine's single flattened call.
 """
 
 from __future__ import annotations
@@ -22,8 +27,34 @@ from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
 from repro.core.hybrid import HybridSolver, choose_transition
 from repro.core.transition import GTX480_HEURISTIC
+from repro.engine.plan import host_route
 
-__all__ = ["NumpyReferenceBackend", "reference_solver"]
+__all__ = ["NumpyReferenceBackend", "gtsv_per_system", "reference_solver"]
+
+
+def gtsv_per_system(a, b, c, d, *, check: bool = True) -> np.ndarray:
+    """One ``?gtsv`` call per batch row: the LAPACK route's oracle.
+
+    Same singular-system policy as the engine's flattened call
+    (:func:`repro.core.gtsv.singular_policy`).
+    """
+    from scipy.linalg import lapack
+
+    from repro.core.gtsv import singular_policy
+
+    m, n = b.shape
+    gtsv = lapack.get_lapack_funcs("gtsv", dtype=b.dtype)
+    x = np.empty_like(d)
+    pivots = []
+    for j in range(m):
+        *_, xj, info = gtsv(a[j, 1:], b[j], c[j, :-1], d[j][:, None])
+        if info > 0:
+            pivots.append(j * n + info - 1)
+            x[j] = np.nan
+        else:
+            x[j] = xj[:, 0]
+    singular_policy(pivots, n, check=check)
+    return x
 
 
 def reference_solver(**opts) -> HybridSolver:
@@ -125,17 +156,31 @@ class NumpyReferenceBackend(BackendBase):
             heuristic=heuristic,
             parallelism=request.parallelism,
         )
-        solver = reference_solver(
-            k=k,
-            subtile_scale=request.subtile_scale,
-            n_windows=request.n_windows,
-            fuse=request.fuse,
+        lapack = k > 0 and host_route(
+            request.k, request.heuristic, request.parallelism,
+            request.fuse, request.n_windows, request.subtile_scale,
         )
+        if lapack:
+            k, k_source = 0, "host"
+        else:
+            solver = reference_solver(
+                k=k,
+                subtile_scale=request.subtile_scale,
+                n_windows=request.n_windows,
+                fuse=request.fuse,
+            )
         t_prepare = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        x = solver.solve_batch(request.a, request.b, request.c, request.d,
-                               check=False)
+        if lapack:
+            x = gtsv_per_system(
+                request.a, request.b, request.c, request.d,
+                check=request.check,
+            )
+        else:
+            x = solver.solve_batch(
+                request.a, request.b, request.c, request.d, check=False
+            )
         dt = time.perf_counter() - t1
         if request.out is not None:
             request.out[...] = x
@@ -153,7 +198,11 @@ class NumpyReferenceBackend(BackendBase):
                 plan_cache="n/a",
                 stages=[
                     StageTiming("prepare", t_prepare),
-                    StageTiming("hybrid (single-call)", dt),
+                    StageTiming(
+                        "lapack gtsv (per system)" if lapack
+                        else "hybrid (single-call)",
+                        dt,
+                    ),
                 ],
             )
         )

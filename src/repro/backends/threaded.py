@@ -48,13 +48,15 @@ def execute_sharded(
     counters: TilingCounters | None = None,
     out: np.ndarray | None = None,
     stage_times: list | None = None,
+    check: bool = True,
 ) -> np.ndarray:
     """Run ``plan`` split along the batch axis, one thread per shard.
 
     Each shard gets a sub-plan with ``k`` *fixed* to the full-batch
     decision (the transition must not re-resolve against the smaller
-    shard ``M``), its own pooled workspace, and its own counters; shard
-    results are written directly into the shared ``out`` batch.
+    shard ``M``) and its kernel family inherited, its own pooled
+    workspace, and its own counters; shard results are written directly
+    into the shared ``out`` batch.
 
     ``stage_times`` receives the per-shard pipeline stages aggregated
     across workers: shards run the same stage sequence concurrently, so
@@ -78,6 +80,7 @@ def execute_sharded(
                 fuse=plan.fuse,
                 n_windows=plan.n_windows,
                 subtile_scale=plan.subtile_scale,
+                algorithm=plan.algorithm,
             ),
             TilingCounters(),
             [] if stage_times is not None else None,
@@ -99,6 +102,8 @@ def execute_sharded(
                 counters=ctr,
                 out=out[lo:hi],
                 stage_times=times,
+                check=check,
+                first_system=lo,
             )
         finally:
             engine.checkin(subplan, ws)

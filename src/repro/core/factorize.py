@@ -445,14 +445,10 @@ class CyclicFactorization:
         One core RHS-only sweep plus the precomputed rank-one update.
         ``check=True`` refuses to apply a singular correction.
         """
-        if check and self.singular.size:
-            from repro.core.periodic import CyclicSingularError, _describe_rows
+        if check:
+            from repro.core.periodic import refuse_singular_correction
 
-            raise CyclicSingularError(
-                "singular Sherman–Morrison correction in batch row(s) "
-                f"{_describe_rows(self.singular)} — re-factor with "
-                "check=False for NaN output"
-            )
+            refuse_singular_correction(self.singular)
         from repro.core.periodic import apply_cyclic_correction
 
         y = self.core.solve(d, scratch=scratch)

@@ -51,8 +51,10 @@ import numpy as np
 
 from repro.core.solver import solve_batch
 from repro.core.validation import (
+    SingularSystemError,
     check_cyclic_batch_arrays,
     coerce_cyclic_batch_arrays,
+    describe_rows,
 )
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "correction_denominator",
     "correction_scale",
     "cyclic_reduce",
+    "refuse_singular_correction",
     "singular_rows",
     "solve_periodic",
     "solve_periodic_batch",
@@ -74,13 +77,10 @@ __all__ = [
 _SINGULAR_TOL = 64.0
 
 
-class CyclicSingularError(ValueError):
-    """The Sherman–Morrison correction denominator ``1 + vᵀq`` vanished.
-
-    Raised (under ``check=True``) when the cyclic matrix is singular or
-    numerically so — the corrected solve would otherwise divide by ~0
-    and return ``±inf`` with no diagnostic.
-    """
+#: The cyclic name of :class:`~repro.core.validation.SingularSystemError`:
+#: one error type covers a vanished correction denominator here and a
+#: zero elimination pivot on the LAPACK route.
+CyclicSingularError = SingularSystemError
 
 
 def cyclic_reduce(a, b, c, *, check: bool = False):
@@ -145,10 +145,19 @@ def singular_rows(denom, n: int) -> np.ndarray:
     return np.flatnonzero(np.abs(denom) <= tol)
 
 
-def _describe_rows(bad: np.ndarray) -> str:
-    rows = ", ".join(str(i) for i in bad[:8])
-    more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
-    return f"[{rows}]{more}"
+def refuse_singular_correction(singular: np.ndarray) -> None:
+    """Raise if a stored cyclic factorization has singular corrections.
+
+    The ``check=True`` policy of every prepared cyclic solve: the
+    factorization recorded its singular batch rows at factor time.
+    """
+    if singular.size:
+        raise CyclicSingularError(
+            "singular Sherman–Morrison correction in batch row(s) "
+            f"{describe_rows(singular)} — re-factor with "
+            "check=False for NaN output",
+            systems=singular,
+        )
 
 
 def correction_scale(denom, n: int, *, check: bool = True) -> np.ndarray:
@@ -161,13 +170,14 @@ def correction_scale(denom, n: int, *, check: bool = True) -> np.ndarray:
     """
     bad = singular_rows(denom, n)
     if bad.size:
-        where = _describe_rows(bad)
+        where = describe_rows(bad)
         if check:
             raise CyclicSingularError(
                 f"singular Sherman–Morrison correction: |1 + v·q| is "
                 f"below the {denom.dtype.name} threshold in batch "
                 f"row(s) {where} — the cyclic matrix has no unique "
-                "solution (pass check=False for NaN output instead)"
+                "solution (pass check=False for NaN output instead)",
+                systems=bad,
             )
         warnings.warn(
             f"singular Sherman–Morrison correction in batch row(s) "

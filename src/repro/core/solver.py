@@ -14,9 +14,13 @@ These are the two functions a downstream user needs:
 >>> bool(np.allclose(b * x + np.r_[0, a[1:] * x[:-1]] + np.r_[c[:-1] * x[1:], 0], d))
 True
 
-``algorithm="auto"`` picks the hybrid with the paper's Table III
-transition; explicit names select a specific algorithm (useful for
-comparisons and education).
+``algorithm="auto"`` takes the host route: the paper's Table III
+decides the cell, ``k = 0`` cells run batched Thomas and ``k > 0``
+cells run LAPACK ``?gtsv`` (one flattened call), which beats the
+tiled-PCR sweep on a CPU.  ``algorithm="hybrid"`` keeps the paper's
+tiled-PCR + p-Thomas route, as does any pinned ``k=``, ``heuristic=``
+or ``parallelism=``; explicit names select a specific algorithm
+(useful for comparisons and education).
 
 ``auto``/``hybrid`` solves build a
 :class:`~repro.backends.request.SolveRequest` and dispatch it through
@@ -77,8 +81,12 @@ def solve_batch(
         Padded diagonals (``a[:, 0] == c[:, -1] == 0``); each batch row is
         one system.
     algorithm:
-        One of ``"auto"`` (hybrid with Table III transition), ``"hybrid"``,
-        ``"thomas"``, ``"cr"``, ``"pcr"``, ``"rd"``.
+        One of ``"auto"`` (the host route: Table III picks the cell,
+        ``k > 0`` cells run LAPACK ``?gtsv`` — see
+        :func:`repro.engine.plan.host_route`), ``"hybrid"`` (the paper's
+        tiled PCR + p-Thomas with the Table III transition),
+        ``"thomas"``, ``"cr"``, ``"pcr"``, ``"rd"``.  The ``gpusim``
+        backend always prices and runs the paper's route.
     backend:
         Registry backend for the hybrid/auto algorithms: ``"auto"``
         (capability negotiation + router) or a registered name —
@@ -95,8 +103,9 @@ def solve_batch(
         batch across a thread pool and ``fingerprint`` to control the
         factorization cache — ``None`` (default) auto-detects repeated
         coefficients where the RHS-only path is bitwise identical
-        (``k = 0``), ``True`` forces prepared execution (``k > 0``
-        agrees to rounding), ``False`` disables fingerprinting.  For
+        (``k = 0`` Thomas and the LAPACK route), ``True`` forces
+        prepared execution (hybrid ``k > 0`` agrees to rounding),
+        ``False`` disables fingerprinting.  For
         coefficients known to be fixed, :func:`repro.prepare` returns
         an explicit handle that skips the hashing too.
 
@@ -114,7 +123,16 @@ def solve_batch(
     if algorithm in ("auto", "hybrid"):
         from repro.backends import solve_via
 
-        x, _ = solve_via(a, b, c, d, backend=backend, coerced=True, **kwargs)
+        if algorithm == "hybrid" and all(
+            kwargs.get(key) is None for key in ("k", "heuristic", "parallelism")
+        ):
+            from repro.core.transition import GTX480_HEURISTIC
+
+            kwargs["heuristic"] = GTX480_HEURISTIC
+
+        x, _ = solve_via(
+            a, b, c, d, backend=backend, check=check, coerced=True, **kwargs
+        )
         return x
     if backend != "auto":
         raise TypeError(

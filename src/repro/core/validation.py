@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "SingularSystemError",
     "coerce_batch_arrays",
+    "describe_rows",
     "coerce_cyclic_batch_arrays",
     "check_system_arrays",
     "check_batch_arrays",
@@ -26,6 +28,33 @@ __all__ = [
 ]
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+class SingularSystemError(ValueError):
+    """A batch system has no unique solution.
+
+    Raised under ``check=True`` when elimination meets an exact zero
+    pivot (the LAPACK route's ``?gtsv`` / ``?gttrf`` ``info > 0``) or a
+    cyclic system's Sherman–Morrison correction ``1 + vᵀq`` vanishes.
+    Under ``check=False`` the same conditions warn and write NaN rows
+    for exactly the singular systems instead.
+
+    ``systems`` holds the offending batch rows; ``row`` is the zero
+    pivot's row inside the first of them, when the failure has one
+    (``None`` for a singular cyclic correction).
+    """
+
+    def __init__(self, message: str, *, systems=(), row: int | None = None):
+        super().__init__(message)
+        self.systems = tuple(int(s) for s in systems)
+        self.row = row
+
+
+def describe_rows(rows) -> str:
+    """``[r0, r1, ...]`` for an error message, the first eight only."""
+    shown = ", ".join(str(int(r)) for r in rows[:8])
+    more = "" if len(rows) <= 8 else f" (+{len(rows) - 8} more)"
+    return f"[{shown}]{more}"
 
 #: ``np.result_type`` over mixed dtype tuples is surprisingly costly on
 #: the small-batch hot path; the handful of dtype combinations a

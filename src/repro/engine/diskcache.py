@@ -46,15 +46,18 @@ def _key_filename(key: tuple) -> str:
     """Digest-named, human-skim-friendly filename for a cache key.
 
     ``key`` is the engine's factorization key ``(m, n, dtype_str, k,
-    system, periodic, digest)``.  The content digest leads (it is the
-    unique part); the shape/plan coordinates follow for debuggability.
-    Tridiagonal entries (system tag ``""``) keep the historical
-    filename layout byte-for-byte; banded entries append their tag so
-    stencils can never alias on disk either.
+    system, algorithm, periodic, digest)``.  The content digest leads
+    (it is the unique part); the shape/plan coordinates follow for
+    debuggability.  Thomas and hybrid tridiagonal entries keep the
+    historical filename layout byte-for-byte; banded entries append
+    their system tag and LAPACK entries ``-lapack`` so stencils and
+    kernel families can never alias on disk either.
     """
-    m, n, dtype_str, k, system, periodic, digest = key
+    m, n, dtype_str, k, system, algorithm, periodic, digest = key
     dtype = np.dtype(dtype_str).name
     tag = "-cyclic" if periodic else ""
+    if algorithm == "lapack":
+        tag = f"-lapack{tag}"
     if system:
         tag = f"-{system}{tag}"
     return f"{digest}-{m}x{n}-{dtype}-k{k}{tag}{_SUFFIX}"
@@ -64,13 +67,19 @@ def _pack(fact, payload: dict, prefix: str = "") -> None:
     """Flatten a factorization into ``payload`` arrays under ``prefix``."""
     from repro.core.blocktridiag import BlockThomasFactorization
     from repro.core.factorize import HybridFactorization, ThomasFactorization
+    from repro.core.gtsv import GttrfFactorization
     from repro.core.pentadiag import PentaFactorization
     from repro.engine.prepared import (
         CyclicRhsFactorization,
         ThomasRhsFactorization,
     )
 
-    if isinstance(fact, ThomasRhsFactorization):
+    if isinstance(fact, GttrfFactorization):
+        payload[prefix + "kind"] = np.array("gttrf")
+        payload[prefix + "n"] = np.array(fact.n)
+        for name in ("dl", "d", "du", "du2", "ipiv", "zero_pivots"):
+            payload[prefix + name] = getattr(fact, name)
+    elif isinstance(fact, ThomasRhsFactorization):
         payload[prefix + "kind"] = np.array("thomas")
         payload[prefix + "ta"] = fact.ta
         payload[prefix + "cp"] = fact.cp
@@ -112,6 +121,7 @@ def _unpack(data, prefix: str = ""):
     """Rebuild a factorization from ``_pack``'s array layout."""
     from repro.core.blocktridiag import BlockThomasFactorization
     from repro.core.factorize import HybridFactorization, ThomasFactorization
+    from repro.core.gtsv import GttrfFactorization
     from repro.core.pentadiag import PentaFactorization
     from repro.engine.prepared import (
         CyclicRhsFactorization,
@@ -119,6 +129,14 @@ def _unpack(data, prefix: str = ""):
     )
 
     kind = str(data[prefix + "kind"])
+    if kind == "gttrf":
+        return GttrfFactorization(
+            int(data[prefix + "n"]),
+            *(
+                data[prefix + name]
+                for name in ("dl", "d", "du", "du2", "ipiv", "zero_pivots")
+            ),
+        )
     if kind == "thomas":
         return ThomasRhsFactorization(
             ta=data[prefix + "ta"],

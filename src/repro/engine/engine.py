@@ -35,20 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hybrid import HybridReport
+from repro.core.hybrid import HybridReport, choose_transition
 from repro.core.tiled_pcr import TilingCounters
 from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 from repro.core.validation import check_batch_arrays, coerce_batch_arrays
 from repro.engine.executor import execute_plan, shard_bounds
-from repro.engine.plan import SolvePlan, build_plan
+from repro.engine.plan import SolvePlan, build_plan, host_route
 from repro.engine.prepared import (
     PreparedPlan,
     build_cyclic_factorization,
     build_factorization,
     coefficient_fingerprint,
     factorization_nbytes,
-    rhs_only_sweep,
-    rtol_permits_hybrid_reuse,
 )
 from repro.engine.workspace import PlanWorkspace, PreparedWorkspace
 from repro.util.pools import executor_cap
@@ -98,8 +96,13 @@ class ExecutionEngine:
         sharded solves pool one per shard sub-plan, so the default
         covers ``workers`` up to ``pool_size`` without re-allocation.
     heuristic:
-        Default Table-III-style transition table for plans that do not
-        fix ``k`` explicitly.
+        Transition table for plans that do not fix ``k`` explicitly.
+        Left unset, the engine runs the host route (see
+        :func:`~repro.engine.plan.host_route`): the paper's GTX480
+        Table III decides between ``k = 0`` Thomas and a ``k > 0``
+        cell, and ``k > 0`` cells run the LAPACK ``?gtsv`` kernel.  An
+        explicit table pins the paper's tiled-PCR route for its
+        ``k > 0`` cells.
     cache_dir:
         Optional directory enabling the factorization spill tier: built
         factorizations are written as digest-named ``.npz`` files, and
@@ -116,7 +119,7 @@ class ExecutionEngine:
         self,
         max_plans: int = 32,
         pool_size: int = 4,
-        heuristic: TransitionHeuristic = GTX480_HEURISTIC,
+        heuristic: TransitionHeuristic | None = None,
         max_factorizations: int = 8,
         cache_dir=None,
         disk_cache_bytes: int | None = None,
@@ -132,7 +135,9 @@ class ExecutionEngine:
         self.max_plans = max_plans
         self.pool_size = pool_size
         self.max_factorizations = max_factorizations
-        self.heuristic = heuristic
+        self.heuristic = heuristic if heuristic is not None else GTX480_HEURISTIC
+        #: unpinned requests take the host route (no engine-wide table)
+        self.host_default = heuristic is None
         self.disk_cache = None
         if cache_dir is not None:
             from repro.engine.diskcache import (
@@ -197,12 +202,17 @@ class ExecutionEngine:
         heuristic: TransitionHeuristic | None = None,
         info: dict | None = None,
         system: str = "",
+        algorithm: str | None = None,
     ) -> SolvePlan:
         """Return the cached plan for this signature, building on miss.
 
         ``heuristic`` overrides the engine default for this call; the
         cache key is the *resolved* ``k``, so plans from different
-        heuristics that agree on ``k`` share an entry.  ``info``, if
+        heuristics that agree on ``k`` share an entry.  A call that
+        pins nothing (:func:`~repro.engine.plan.host_route`) on an
+        engine without its own table resolves ``k > 0`` cells to the
+        ``"lapack"`` algorithm; ``algorithm`` forces the kernel family
+        (shard sub-plans inherit their parent's).  ``info``, if
         given, receives ``info["cache"] = "hit" | "miss"`` — the
         instrumentation hook the backend layer's traces are built on.
 
@@ -215,7 +225,8 @@ class ExecutionEngine:
         heur = heuristic if heuristic is not None else self.heuristic
         memo_key = (
             m, n, np.dtype(dtype).str, k, bool(fuse),
-            n_windows, subtile_scale, parallelism, heur, system,
+            n_windows, subtile_scale, parallelism, heuristic, system,
+            algorithm,
         )
         with self._lock:
             memoized = self._plan_memo.get(memo_key)
@@ -227,6 +238,16 @@ class ExecutionEngine:
                 if info is not None:
                     info["cache"] = "hit"
                 return memoized
+        if (
+            algorithm is None
+            and self.host_default
+            and not system
+            and host_route(
+                k, heuristic, parallelism, fuse, n_windows, subtile_scale
+            )
+            and choose_transition(m, n, heuristic=heur)[0] > 0
+        ):
+            algorithm = "lapack"
         plan = build_plan(
             m,
             n,
@@ -238,6 +259,7 @@ class ExecutionEngine:
             heuristic=heur,
             parallelism=parallelism,
             system=system,
+            algorithm=algorithm,
         )
         sig = plan.signature()
         with self._lock:
@@ -331,14 +353,17 @@ class ExecutionEngine:
     @staticmethod
     def _fact_key(plan: SolvePlan, digest: str, periodic: bool = False) -> tuple:
         # Factorizations depend only on (m, n, dtype, k) + the system
-        # descriptor + content — fuse / window choices change
-        # scheduling, not elimination math.  The system tag keeps
-        # penta/block/tri entries apart even when their (m, n, dtype,
-        # k) prefixes agree, and cyclic factorizations carry corner
-        # state a plain one lacks, so the periodic flag keys them
-        # separately: the same coefficient digest means different
-        # matrices under the two conventions.
-        return plan.signature()[:4] + (plan.system, periodic, digest)
+        # descriptor + the kernel family + content — fuse / window
+        # choices change scheduling, not elimination math.  The system
+        # tag keeps penta/block/tri entries apart even when their (m,
+        # n, dtype, k) prefixes agree, the algorithm keeps a LAPACK
+        # factorization from answering a k = 0 Thomas plan, and cyclic
+        # factorizations carry corner state a plain one lacks, so the
+        # periodic flag keys them separately: the same coefficient
+        # digest means different matrices under the two conventions.
+        return plan.signature()[:4] + (
+            plan.system, plan.algorithm, periodic, digest,
+        )
 
     def _store_factorization(self, key: tuple, fact, built: bool = True) -> None:
         with self._lock:
@@ -521,18 +546,22 @@ class ExecutionEngine:
         counters: TilingCounters | None = None,
         out: np.ndarray | None = None,
         stage_times: list | None = None,
+        check: bool = True,
     ) -> np.ndarray:
         """Execute a prepared plan against a pooled workspace.
 
         This is the unsharded hot path — also the execution seam the
         backend layer (:mod:`repro.backends.engine_backend`) calls
         after planning through :meth:`plan_for`.  Counts one solve.
+        ``check`` is the singular-system policy of ``"lapack"`` plans
+        (raise, or warn and write NaN rows).
         """
         ws = self._checkout(plan)
         try:
             x = execute_plan(
                 plan, ws, a, b, c, d,
                 counters=counters, out=out, stage_times=stage_times,
+                check=check,
             )
         finally:
             self._checkin(plan, ws)
@@ -552,6 +581,7 @@ class ExecutionEngine:
         counters: TilingCounters | None = None,
         out: np.ndarray | None = None,
         stage_times: list | None = None,
+        check: bool = True,
     ) -> np.ndarray:
         """Execute a plan split along the batch axis across threads.
 
@@ -567,6 +597,7 @@ class ExecutionEngine:
             return self.execute_pooled(
                 plan, a, b, c, d,
                 counters=counters, out=out, stage_times=stage_times,
+                check=check,
             )
         from repro.backends.threaded import execute_sharded
 
@@ -574,6 +605,7 @@ class ExecutionEngine:
         x = execute_sharded(
             self, plan, shards, a, b, c, d,
             counters=counters, out=out, stage_times=stage_times,
+            check=check,
         )
         if stage_times is not None:
             stage_times.append(
@@ -628,7 +660,7 @@ class ExecutionEngine:
         """
         return self.bind(request, transient=True).step_once()
 
-    def _run_plain(
+    def _execute_full(
         self,
         plan: SolvePlan,
         a,
@@ -637,67 +669,23 @@ class ExecutionEngine:
         d,
         *,
         workers: int | None = None,
-        fingerprint: bool | None = None,
-        rtol: float | None = None,
         counters: TilingCounters | None = None,
         out: np.ndarray | None = None,
         stage_times: list | None = None,
-    ):
-        """Execute coerced arrays under ``plan``, fingerprint-aware.
-
-        Consults the coefficient-fingerprint cache (per the
-        ``fingerprint`` tri-state — see :meth:`solve_batch`) and runs
-        either the RHS-only factorized sweep or the full plan, sharded
-        when ``workers > 1``.  ``rtol`` is the request's accuracy
-        contract: when it clears the dtype floor, auto-mode
-        fingerprinting also engages on hybrid ``k > 0`` plans (whose
-        reuse is allclose-grade, not bitwise) — still through the
-        two-sighting ledger, so one-shot batches never pay for a
-        factorization.  Returns ``(x, factorization | None, state)``
-        where ``state`` is the trace's factorization field
-        (``"hit" / "factored" / "miss" / "off" / "n/a"``).
-        """
-        fact = None
-        fp_state = "off" if fingerprint is False else "n/a"
-        if fingerprint is not False and (
-            plan.uses_thomas
-            or fingerprint
-            or rtol_permits_hybrid_reuse(rtol, plan.dtype)
-        ):
-            t_fp = time.perf_counter()
-            digest = coefficient_fingerprint(a, b, c)
-            if stage_times is not None:
-                stage_times.append(
-                    ("fingerprint", time.perf_counter() - t_fp)
-                )
-            fact, fp_state = self._factorization_for(
-                plan, digest, a, b, c,
-                force=fingerprint is True,
-                stage_times=stage_times,
-            )
-
-        if fact is not None:
-            x = rhs_only_sweep(
-                self, plan, fact, d,
-                out=out, workers=workers, stage_times=stage_times,
-            )
-            with self._lock:
-                self.stats.solves += 1
-                self.stats.rhs_only_solves += 1
-                if workers is not None and workers > 1:
-                    self.stats.sharded_solves += 1
-            return x, fact, fp_state
+        check: bool = True,
+    ) -> np.ndarray:
+        """Run the full plan on coerced arrays, sharded when ``workers > 1``."""
         if workers is not None and workers > 1:
-            x = self.solve_sharded(
+            return self.solve_sharded(
                 plan, workers, a, b, c, d,
                 counters=counters, out=out, stage_times=stage_times,
+                check=check,
             )
-            return x, None, fp_state
-        x = self.execute_pooled(
+        return self.execute_pooled(
             plan, a, b, c, d,
             counters=counters, out=out, stage_times=stage_times,
+            check=check,
         )
-        return x, None, fp_state
 
     # ---- thin request-building adapters ------------------------------
     def solve_batch(
@@ -731,13 +719,19 @@ class ExecutionEngine:
         (populated from the outcome's trace).  Remaining keywords
         mirror :class:`~repro.core.hybrid.HybridSolver`.
 
+        With ``k``, ``heuristic``, ``parallelism`` and the hybrid
+        schedule options unset, cells where Table III picks ``k > 0``
+        run the LAPACK ``?gtsv`` route (see
+        :func:`~repro.engine.plan.host_route`); pinning any of them
+        keeps the paper's tiled-PCR route.
+
         ``fingerprint`` controls the factorization fast path: ``None``
-        (default) hashes the coefficients and — for ``k = 0`` plans,
-        whose RHS-only sweep is bitwise identical — serves repeat
-        sightings from the factorization cache; ``True`` additionally
-        engages the (allclose-grade) hybrid factorization for
-        ``k > 0`` plans and factors on first sight; ``False`` disables
-        fingerprinting entirely.  ``rtol`` is the accuracy contract
+        (default) hashes the coefficients and — for ``k = 0`` Thomas and
+        LAPACK plans, whose RHS-only sweeps are bitwise identical —
+        serves repeat sightings from the factorization cache; ``True``
+        additionally engages the (allclose-grade) hybrid factorization
+        for ``k > 0`` plans and factors on first sight; ``False``
+        disables fingerprinting entirely.  ``rtol`` is the accuracy contract
         that widens the auto tier to ``k > 0`` plans (see
         :func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
         """

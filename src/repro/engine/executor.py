@@ -20,6 +20,9 @@ Every path is held **bitwise identical** to the reference
   identical operations in identical order, just a different memory
   walk — so results match :func:`repro.core.thomas.thomas_solve_batch`
   bit for bit.
+* ``"lapack"`` plans (the host route for Table III's ``k > 0`` cells)
+  hand the whole batch to one flattened ``?gtsv`` call
+  (:func:`repro.core.gtsv.gtsv_batch`); they need no workspace.
 
 Sharding along the batch axis is bitwise-safe for the same reason:
 every solver operation is elementwise along ``M``, so solving rows
@@ -34,6 +37,7 @@ import time
 
 import numpy as np
 
+from repro.core.gtsv import gtsv_batch
 from repro.core.hybrid import _FusedPThomas
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
@@ -103,6 +107,8 @@ def execute_plan(
     counters: TilingCounters | None = None,
     out: np.ndarray | None = None,
     stage_times: list | None = None,
+    check: bool = True,
+    first_system: int = 0,
 ) -> np.ndarray:
     """Execute ``plan`` on coerced ``(M, N)`` diagonals using ``ws``.
 
@@ -112,9 +118,20 @@ def execute_plan(
     given, receives the solution (shard writes).  ``stage_times``, if
     given, receives ``(stage name, seconds)`` pairs — the per-stage
     wall-time hook behind :class:`~repro.backends.trace.SolveTrace`.
+    ``check`` / ``first_system`` set the singular-system policy of
+    ``"lapack"`` plans and the batch-row numbering it reports (a shard
+    passes its first row).
     """
     if not ws.fits(plan):
         raise ValueError("workspace was built for a different plan")
+    if plan.algorithm == "lapack":
+        t0 = time.perf_counter()
+        x = gtsv_batch(
+            a, b, c, d, out=out, check=check, first_system=first_system
+        )
+        if stage_times is not None:
+            stage_times.append(("lapack gtsv", time.perf_counter() - t0))
+        return x
     if plan.uses_thomas:
         t0 = time.perf_counter()
         x = _thomas_transposed(ws, a, b, c, d, out=out)

@@ -9,11 +9,21 @@ realization recomputed all of them — and reallocated every buffer —
 on *every* ``solve_batch`` call.
 
 A :class:`SolvePlan` freezes those decisions once per ``(M, N, dtype,
-k, fuse, n_windows, subtile_scale)`` signature.  Plans are immutable,
-hashable, and cheap; the heavy state they imply (ring buffers,
-modified-coefficient arrays, transpose scratch) lives in
+k, fuse, n_windows, subtile_scale, system, algorithm)`` signature.
+Plans are immutable, hashable, and cheap; the heavy state they imply
+(ring buffers, modified-coefficient arrays, transpose scratch) lives in
 :class:`~repro.engine.workspace.PlanWorkspace` objects the engine pools
 per plan.  Executing the same plan twice is bitwise deterministic.
+
+The ``algorithm`` field names the kernel family a plan runs:
+``"thomas"`` (``k = 0``, the engine's transposed Thomas sweep),
+``"hybrid"`` (``k > 0``, tiled PCR + p-Thomas) or ``"lapack"`` (one
+flattened ``?gtsv`` call, :mod:`repro.core.gtsv`).  Table III was
+measured on a GTX480; on a 2-CPU Xeon host its ``k > 0`` cells ran
+4–30x slower than LAPACK, so a request that pins nothing — no ``k``, ``heuristic``,
+``parallelism`` or hybrid schedule option — runs ``"lapack"`` wherever
+the table would pick ``k > 0`` (:func:`host_route`).  Pinned requests
+keep the paper's route bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +36,35 @@ from repro.core.cost_model import f_redundant_loads
 from repro.core.hybrid import choose_transition
 from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 
-__all__ = ["SolvePlan", "build_plan", "plan_key"]
+__all__ = ["ALGORITHMS", "SolvePlan", "build_plan", "host_route", "plan_key"]
+
+#: kernel families a plan can run (see the module docs)
+ALGORITHMS = ("thomas", "hybrid", "lapack")
+
+
+def host_route(
+    k=None,
+    heuristic=None,
+    parallelism=None,
+    fuse: bool = False,
+    n_windows: int = 1,
+    subtile_scale: int = 1,
+) -> bool:
+    """Does this request leave the route to the host default?
+
+    True when nothing pins the paper's algorithm: no ``k``, no
+    ``heuristic``, no ``parallelism`` (the analytic Table II choice),
+    and no tiled-PCR schedule option (``fuse``, ``n_windows``,
+    ``subtile_scale``), which only the hybrid can honour.
+    """
+    return (
+        k is None
+        and heuristic is None
+        and parallelism is None
+        and not fuse
+        and n_windows == 1
+        and subtile_scale == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -56,6 +94,10 @@ class SolvePlan:
         ``"block<B>"`` otherwise) — keeps plan-cache and
         factorization-cache entries of different stencils from ever
         colliding on one ``(m, n, dtype, k)`` signature.
+    algorithm:
+        Kernel family: ``"thomas"``, ``"hybrid"`` or ``"lapack"``
+        (derived from ``k`` when left empty: ``k = 0`` is Thomas,
+        ``k > 0`` the hybrid).  ``"lapack"`` plans carry ``k = 0``.
     """
 
     m: int
@@ -67,6 +109,18 @@ class SolvePlan:
     n_windows: int = 1
     subtile_scale: int = 1
     system: str = ""
+    algorithm: str = ""
+
+    def __post_init__(self):
+        if not self.algorithm:
+            object.__setattr__(
+                self, "algorithm", "thomas" if self.k == 0 else "hybrid"
+            )
+        elif self.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown plan algorithm {self.algorithm!r}; expected one "
+                f"of {ALGORITHMS}"
+            )
 
     # ---- derived schedule ------------------------------------------------
     @property
@@ -81,8 +135,18 @@ class SolvePlan:
 
     @property
     def uses_thomas(self) -> bool:
-        """``k = 0``: the plan degenerates to pure batched Thomas."""
-        return self.k == 0
+        """``k = 0`` Thomas: the plan degenerates to pure batched Thomas."""
+        return self.algorithm == "thomas"
+
+    @property
+    def exact_reuse(self) -> bool:
+        """Is a stored factorization's RHS-only sweep bitwise exact?
+
+        True for Thomas (stored denominators, same operation order) and
+        LAPACK (``?gttrs`` replays ``?gtsv``); hybrid reuse is only
+        allclose-grade, so it needs an explicit license.
+        """
+        return self.algorithm != "hybrid"
 
     @property
     def window_bounds(self) -> tuple:
@@ -97,7 +161,7 @@ class SolvePlan:
 
     def rounds(self) -> int:
         """Total sliding-window rounds one execution performs."""
-        if self.uses_thomas:
+        if self.algorithm != "hybrid":
             return 0
         total = 0
         bounds = self.window_bounds
@@ -117,6 +181,7 @@ class SolvePlan:
             self.n_windows,
             self.subtile_scale,
             self.system,
+            self.algorithm,
         )
 
     def describe(self) -> dict:
@@ -127,10 +192,13 @@ class SolvePlan:
             "dtype": str(self.dtype),
             "k": self.k,
             "k_source": self.k_source,
-            "backend": "thomas" if self.uses_thomas else (
+            "backend": {
+                "thomas": "thomas",
+                "lapack": "lapack ?gtsv",
+            }.get(self.algorithm, (
                 "tiled-pcr+p-thomas (fused)" if self.fuse
                 else "tiled-pcr+p-thomas"
-            ),
+            )),
             "subsystems": self.m * self.g,
             "n_windows": self.n_windows,
             "subtile": self.subtile,
@@ -147,14 +215,18 @@ def plan_key(
     n_windows: int,
     subtile_scale: int,
     system: str = "",
+    algorithm: str = "",
 ) -> tuple:
     """Canonical cache key for a plan signature.
 
-    ``system`` is the descriptor tag; it rides at the end so every
-    pre-descriptor consumer of the tuple prefix keeps working, and
-    tridiagonal keys (tag ``""``) keep their historical shape-4 prefix
-    ``(m, n, dtype, k)`` distinct only by the trailing fields.
+    ``system`` is the descriptor tag and ``algorithm`` the kernel
+    family (empty: derived from ``k``); both ride at the end so every
+    consumer of the ``(m, n, dtype, k)`` prefix keeps working, and
+    a ``"lapack"`` plan never shares an entry with the ``k = 0``
+    Thomas plan of the same shape.
     """
+    if not algorithm:
+        algorithm = "thomas" if k == 0 else "hybrid"
     return (
         m,
         n,
@@ -164,6 +236,7 @@ def plan_key(
         n_windows,
         subtile_scale,
         system,
+        algorithm,
     )
 
 
@@ -179,12 +252,17 @@ def build_plan(
     heuristic: TransitionHeuristic = GTX480_HEURISTIC,
     parallelism: int | None = None,
     system: str = "",
+    algorithm: str | None = None,
 ) -> SolvePlan:
     """Resolve the transition and freeze a :class:`SolvePlan`.
 
     Uses the identical :func:`~repro.core.hybrid.choose_transition`
     logic as :class:`~repro.core.hybrid.HybridSolver`, so a plan always
-    encodes exactly the decision the reference solver would have made.
+    encodes exactly the decision the reference solver would have made —
+    unless ``algorithm="lapack"``, the host route the engine resolves
+    for requests that pin nothing (see :func:`host_route`); such plans
+    carry ``k = 0`` and ``k_source="host"``, and shard sub-plans
+    inherit them.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
@@ -200,6 +278,8 @@ def build_plan(
                 f"banded ({system!r}) plans are k = 0 only, got k={k}"
             )
         kk, source = 0, "banded"
+    elif algorithm == "lapack":
+        kk, source = 0, "host"
     else:
         kk, source = choose_transition(
             m, n, k=k, heuristic=heuristic, parallelism=parallelism
@@ -214,4 +294,5 @@ def build_plan(
         n_windows=n_windows,
         subtile_scale=subtile_scale,
         system=system,
+        algorithm=algorithm or "",
     )

@@ -16,8 +16,10 @@ the factor/solve split; this module wires it through the engine:
   *denominator* (not its reciprocal) and the RHS sweep divides by it,
   mirroring :func:`repro.engine.executor._thomas_transposed` operation
   for operation — prepared ``k = 0`` solves are **bitwise identical**
-  to unprepared ones.  This is why only ``k = 0`` plans auto-engage
-  the fingerprint fast path; ``k > 0`` factorizations
+  to unprepared ones.  The ``"lapack"`` route's
+  :class:`~repro.core.gtsv.GttrfFactorization` is exact the same way
+  (``?gttrs`` replays ``?gtsv``).  This is why only those plans
+  auto-engage the fingerprint fast path; ``k > 0`` hybrid factorizations
   (:class:`~repro.core.factorize.HybridFactorization`) reuse stored
   reciprocals and are "only" allclose, so they require an explicit
   opt-in (``fingerprint=True`` or a :class:`PreparedPlan` handle).
@@ -41,6 +43,7 @@ import time
 import numpy as np
 
 from repro.core.factorize import HybridFactorization, ThomasFactorization
+from repro.core.gtsv import GttrfFactorization
 from repro.core.validation import (
     check_batch_arrays,
     check_cyclic_batch_arrays,
@@ -87,20 +90,21 @@ def rtol_permits_hybrid_reuse(rtol, dtype) -> bool:
     floor = FINGERPRINT_RTOL_FLOOR.get(np.dtype(dtype).name)
     return floor is not None and rtol >= floor
 
-#: Elements sampled per array by the fingerprint (plus the chunk-sum
+#: Elements sampled per array by the fingerprint (plus the weighted
 #: checksums); calibrated so fingerprinting a 1024x1024 float64 batch
 #: costs ~1 ms against a ~20 ms RHS-only solve.
 FINGERPRINT_SAMPLE = 4096
 
-#: Width of the chunk-sum grid the large-array checksum reduces over.
-#: Hashing both row sums (contiguous 1024-element chunks) and column
-#: sums (stride-1024 element classes) means a sum-preserving edit can
-#: only collide if every changed element keeps both its row total and
-#: its column total — impossible for any edit that moves value between
-#: two distinct positions.
+#: Width of the ``(rows, FINGERPRINT_CHUNK)`` grid the large-array
+#: checksums reduce over: one weighted sum per row and one per column.
 FINGERPRINT_CHUNK = 1024
 
+#: Seed of the fixed checksum weights.  Fixed, so a digest is stable
+#: across calls, engines and processes sharing a disk cache.
+FINGERPRINT_SEED = 0x5EED
+
 _sample_idx_cache: dict = {}
+_weight_cache: dict = {}
 
 
 def _sample_indices(size: int) -> np.ndarray:
@@ -113,26 +117,45 @@ def _sample_indices(size: int) -> np.ndarray:
     return idx
 
 
+def _weights(length: int) -> np.ndarray:
+    """``length`` fixed-seed float64 checksum weights in ``[0.5, 1.5)``."""
+    w = _weight_cache.get(length)
+    if w is None:
+        rng = np.random.default_rng([FINGERPRINT_SEED, length])
+        w = 0.5 + rng.random(length)
+        if len(_weight_cache) > 64:
+            _weight_cache.clear()
+        _weight_cache[length] = w
+    return w
+
+
 def coefficient_fingerprint(*arrays) -> str:
     """Content hash of coefficient arrays (hex, 128-bit blake2b).
 
     Hashes each array's shape, dtype, and content.  Small arrays are
     hashed in full; large ones contribute an evenly-strided
-    :data:`FINGERPRINT_SAMPLE`-element sample plus a two-axis chunk-sum
-    checksum: the flat array is viewed as a ``(rows,
-    FINGERPRINT_CHUNK)`` grid and both the per-row sums (contiguous
-    chunks) and the per-column sums (strided element classes) are
-    hashed, along with any ragged tail verbatim.  A position-blind
-    single checksum was provably collidable — swapping two off-sample
-    elements, or any ``+x``/``−x`` pair of edits, preserved the total
-    and silently served a stale factorization.  With the grid, an edit
-    escapes detection only if it changes no row sum *and* no column
-    sum, which for moved value between distinct positions cannot
-    happen (two positions in the same row are in different columns and
-    vice versa).  Still two O(N) streaming passes — far below the cost
-    of one elimination sweep, which is the comparison that matters.
-    Used to detect *unchanged* coefficients across time steps, not to
-    authenticate data.
+    :data:`FINGERPRINT_SAMPLE`-element sample plus two random-weighted
+    checksums: the flat array is viewed as a ``(rows,
+    FINGERPRINT_CHUNK)`` grid and both ``grid @ w_col`` (one weighted
+    sum per row) and ``w_row @ grid`` (one per column) are hashed,
+    with fixed-seed weights, along with any ragged tail verbatim.  The
+    sums are taken in float64 whatever the array's dtype.
+
+    Every entry counts with its own weight, so an edit escapes only if
+    its weighted changes cancel in every row *and* every column.  Plain
+    row and column sums did not have that property: a four-entry
+    "rectangle" edit (``+x`` at ``[r1, j1]`` and ``[r2, j2]``, ``−x`` at
+    ``[r1, j2]`` and ``[r2, j1]``) kept all of them and served a stale
+    factorization.  With generic weights no sparse edit cancels.
+
+    Limit: the checksums are rounded float64 sums, so an off-sample
+    edit below their rounding level (about ``2⁻⁵³ · FINGERPRINT_CHUNK``
+    relative to a row's magnitude) can still slip through.  That is
+    sub-ulp for float64 entries of similar size; a float32 entry's
+    smallest edit (one float32 ulp, ``2⁻²⁴`` relative) sits far above
+    it.  ``fingerprint=False`` and explicit :func:`prepare` handles are
+    the exact paths.  Used to detect *unchanged* coefficients across
+    time steps, not to authenticate data.
     """
     h = hashlib.blake2b(digest_size=16)
     for arr in arrays:
@@ -148,8 +171,12 @@ def coefficient_fingerprint(*arrays) -> str:
             grid = np.ascontiguousarray(flat[:trunc]).reshape(
                 -1, FINGERPRINT_CHUNK
             )
-            h.update(grid.sum(axis=1, dtype=np.float64).tobytes())
-            h.update(grid.sum(axis=0, dtype=np.float64).tobytes())
+            w_col = _weights(grid.shape[1])
+            w_row = _weights(grid.shape[0])
+            # einsum without ``optimize`` never calls BLAS, so the sums
+            # do not depend on a BLAS thread count
+            h.update(np.einsum("ij,j->i", grid, w_col, dtype=np.float64).tobytes())
+            h.update(np.einsum("i,ij->j", w_row, grid, dtype=np.float64).tobytes())
             h.update(np.ascontiguousarray(flat[trunc:]).tobytes())
     return h.hexdigest()
 
@@ -270,9 +297,11 @@ def factorization_nbytes(fact) -> int:
 
 
 def build_factorization(plan, a, b, c):
-    """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above."""
+    """Factor coefficients for ``plan``'s kernel family."""
     if plan.uses_thomas:
         return ThomasRhsFactorization.factor(a, b, c)
+    if plan.algorithm == "lapack":
+        return GttrfFactorization.factor(a, b, c)
     return HybridFactorization.factor(a, b, c, k=plan.k, check=False)
 
 
@@ -298,6 +327,44 @@ def _shard_hybrid(fact: HybridFactorization, lo: int, hi: int):
     )
 
 
+def for_shards(engine, shards, fn) -> None:
+    """Call ``fn(index, lo, hi)`` for each ``(lo, hi)`` row shard.
+
+    One shard runs inline; several run concurrently on the engine's
+    persistent thread pool (shards write disjoint rows of one output).
+    """
+    if len(shards) == 1:
+        fn(0, *shards[0])
+        return
+    pool = engine.thread_pool(len(shards))
+    list(pool.map(lambda job: fn(job[0], *job[1]), enumerate(shards)))
+
+
+def sweep_factorization(engine, plan, fact, ws, d, out, shards) -> None:
+    """RHS-only sweep of ``fact`` into ``out``, one call per row shard.
+
+    ``ws`` is a :class:`~repro.engine.workspace.PreparedWorkspace` of
+    ``plan``; shards share it (column slices for Thomas, one scratch
+    dict per shard for the hybrid, nothing for LAPACK).
+    """
+    if plan.algorithm == "lapack":
+        for_shards(
+            engine, shards, lambda i, lo, hi: fact.solve_shard(d, out, lo, hi)
+        )
+    elif plan.uses_thomas:
+        for_shards(
+            engine, shards,
+            lambda i, lo, hi: fact.solve_shard(ws, d, out, lo, hi),
+        )
+    else:
+        for_shards(
+            engine, shards,
+            lambda i, lo, hi: _shard_hybrid(fact, lo, hi).solve(
+                d[lo:hi], out=out[lo:hi], scratch=ws.scratch_for(i, (lo, hi))
+            ),
+        )
+
+
 def rhs_only_sweep(
     engine,
     plan,
@@ -307,54 +374,33 @@ def rhs_only_sweep(
     out: np.ndarray | None = None,
     workers: int | None = None,
     stage_times: list | None = None,
+    check: bool = True,
 ) -> np.ndarray:
     """Run the RHS-only sweep of ``fact`` under ``plan``'s engine state.
 
     Checks a :class:`~repro.engine.workspace.PreparedWorkspace` out of
     the engine's pool, optionally shards the batch axis across the
     engine's thread pool, and returns the solution.  ``d`` must be a
-    contiguous ``(M, N)`` array of the plan's dtype.
+    contiguous ``(M, N)`` array of the plan's dtype.  ``check`` is the
+    singular-system policy of a ``"lapack"`` factorization (raise, or
+    warn and write NaN rows).
     """
     m, n = plan.m, plan.n
     if out is None:
         out = np.empty((m, n), dtype=plan.dtype)
     shards = shard_bounds(m, workers) if workers and workers > 1 else [(0, m)]
+    if plan.algorithm == "lapack":
+        fact.enforce(check=check)
     ws = engine.checkout_prepared(plan)
     t0 = time.perf_counter()
     try:
-        if plan.uses_thomas:
-            if len(shards) == 1:
-                fact.solve_shard(ws, d, out, 0, m)
-            else:
-                pool = engine.thread_pool(len(shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard(ws, d, out, *lohi),
-                        shards,
-                    )
-                )
-        else:
-            if len(shards) == 1:
-                fact.solve(d, out=out, scratch=ws.scratch_for(0, (0, m)))
-            else:
-
-                def run(job):
-                    idx, (lo, hi) = job
-                    _shard_hybrid(fact, lo, hi).solve(
-                        d[lo:hi],
-                        out=out[lo:hi],
-                        scratch=ws.scratch_for(idx, (lo, hi)),
-                    )
-
-                pool = engine.thread_pool(len(shards))
-                list(pool.map(run, enumerate(shards)))
+        sweep_factorization(engine, plan, fact, ws, d, out, shards)
     finally:
         engine.checkin_prepared(plan, ws)
     if stage_times is not None:
-        kind = "thomas" if plan.uses_thomas else "hybrid"
         tag = f" [{len(shards)} shards]" if len(shards) > 1 else ""
         stage_times.append(
-            (f"rhs-only {kind}{tag}", time.perf_counter() - t0)
+            (f"rhs-only {plan.algorithm}{tag}", time.perf_counter() - t0)
         )
     return out
 
@@ -410,7 +456,7 @@ def build_cyclic_factorization(
 
     ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
     core = build_factorization(plan, ap, bp, cp)
-    q = rhs_only_sweep(engine, plan, core, u)
+    q = rhs_only_sweep(engine, plan, core, u, check=check)
     denom = correction_denominator(q, w)
     scale = correction_scale(denom, plan.n, check=check)
     return CyclicRhsFactorization(
@@ -437,14 +483,10 @@ def cyclic_rhs_only_sweep(
     buffer, then applies the precomputed rank-one correction.  The
     returned array never aliases pooled workspace memory.
     """
-    if check and fact.singular.size:
-        from repro.core.periodic import CyclicSingularError, _describe_rows
+    if check:
+        from repro.core.periodic import refuse_singular_correction
 
-        raise CyclicSingularError(
-            "singular Sherman–Morrison correction in batch row(s) "
-            f"{_describe_rows(fact.singular)} — re-factor with "
-            "check=False for NaN output"
-        )
+        refuse_singular_correction(fact.singular)
     from repro.core.periodic import apply_cyclic_correction
 
     ws = engine.checkout_prepared(plan)
@@ -452,6 +494,7 @@ def cyclic_rhs_only_sweep(
         y = rhs_only_sweep(
             engine, plan, fact.core, d,
             out=ws.cyclic_y(), workers=workers, stage_times=stage_times,
+            check=check,
         )
         t0 = time.perf_counter()
         if out is None:
@@ -474,8 +517,8 @@ class PreparedPlan:
     :class:`~repro.backends.trace.SolveTrace` with
     ``factorization="handle"``.
 
-    ``k = 0`` handles are bitwise identical to unprepared engine
-    solves; ``k > 0`` handles agree to rounding (the stored hybrid
+    ``k = 0`` Thomas and ``"lapack"`` handles are bitwise identical to
+    unprepared engine solves; hybrid ``k > 0`` handles agree to rounding (the stored hybrid
     reciprocals differ from the live p-Thomas divisions in the last
     ulp).
     """

@@ -44,11 +44,12 @@ from repro.core.hybrid import HybridReport
 from repro.core.tiled_pcr import TilingCounters
 from repro.engine.executor import shard_bounds
 from repro.engine.prepared import (
-    _shard_hybrid,
     coefficient_fingerprint,
     cyclic_rhs_only_sweep,
+    for_shards,
     rhs_only_sweep,
     rtol_permits_hybrid_reuse,
+    sweep_factorization,
 )
 
 __all__ = ["BoundSolve"]
@@ -98,12 +99,12 @@ class BoundSolve:
         else:
             self._bind_tridiagonal(request)
         workers = request.workers
-        shards = (
+        #: row shards every step runs over (one shard: unsharded)
+        self._shards = (
             shard_bounds(request.m, workers)
             if workers is not None and workers > 1
             else [(0, request.m)]
         )
-        self._shards = shards if len(shards) > 1 else None
         self._dtype = self.plan.dtype
         if self._banded and request.system.kind == "block":
             self._dshape = (request.m, request.n, request.system.block_size)
@@ -167,7 +168,7 @@ class BoundSolve:
         fact = None
         fp_state = "off" if fingerprint is False else "n/a"
         licensed = fingerprint is not False and (
-            plan.uses_thomas
+            plan.exact_reuse
             or fingerprint
             or rtol_permits_hybrid_reuse(request.rtol, plan.dtype)
         )
@@ -283,7 +284,7 @@ class BoundSolve:
                 x = rhs_only_sweep(
                     engine, plan, fact, d,
                     out=out, workers=workers,
-                    stage_times=stage_times,
+                    stage_times=stage_times, check=request.check,
                 )
             with engine._lock:
                 if self.count_solves:
@@ -304,18 +305,11 @@ class BoundSolve:
                 n_windows=plan.n_windows,
                 tiling=counters,
             )
-            if workers is not None and workers > 1:
-                x = engine.solve_sharded(
-                    plan, workers,
-                    request.a, request.b, request.c, d,
-                    counters=counters, out=out, stage_times=stage_times,
-                )
-            else:
-                x = engine.execute_pooled(
-                    plan,
-                    request.a, request.b, request.c, d,
-                    counters=counters, out=out, stage_times=stage_times,
-                )
+            x = engine._execute_full(
+                plan, request.a, request.b, request.c, d,
+                workers=workers, counters=counters, out=out,
+                stage_times=stage_times, check=request.check,
+            )
             engine.last_report = report
             kept = None
         else:  # full-cyclic: corner-reduce + two inner solves + correction
@@ -331,13 +325,13 @@ class BoundSolve:
                 request.a, request.b, request.c, check=request.check
             )
             stage_times.append(("cyclic-reduce", time.perf_counter() - t0))
-            y, _, _ = engine._run_plain(
+            y = engine._execute_full(
                 plan, ap, bp, cp, d,
-                workers=workers, fingerprint=False, stage_times=stage_times,
+                workers=workers, stage_times=stage_times, check=request.check,
             )
-            q, _, _ = engine._run_plain(
+            q = engine._execute_full(
                 plan, ap, bp, cp, u,
-                workers=workers, fingerprint=False, stage_times=stage_times,
+                workers=workers, stage_times=stage_times, check=request.check,
             )
             t1 = time.perf_counter()
             scale = correction_scale(
@@ -397,17 +391,10 @@ class BoundSolve:
         t_s = time.perf_counter()
         if out is None:
             out = np.empty_like(d)
-        shards = self._shards if self._shards is not None else [(0, request.m)]
-        if len(shards) > 1:
-            pool = engine.thread_pool(len(shards))
-            list(
-                pool.map(
-                    lambda s: fact.solve_shard(d, out, s[0], s[1]),
-                    shards,
-                )
-            )
-        else:
-            fact.solve_shard(d, out, 0, request.m)
+        shards = self._shards
+        for_shards(
+            engine, shards, lambda i, lo, hi: fact.solve_shard(d, out, lo, hi)
+        )
         sweep = "rhs-only" if served else "sweep"
         shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
         stage_times.append(
@@ -462,34 +449,12 @@ class BoundSolve:
 
     def _sweep(self, fact, d, out):
         """Direct RHS-only sweep through the session-held workspace."""
-        plan = self.plan
-        ws = self._workspace()
-        if plan.uses_thomas:
-            if self._shards is None:
-                fact.solve_shard(ws, d, out, 0, plan.m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard(ws, d, out, *lohi),
-                        self._shards,
-                    )
-                )
-        else:
-            if self._shards is None:
-                fact.solve(d, out=out, scratch=ws.scratch_for(0, (0, plan.m)))
-            else:
-
-                def run(job):
-                    idx, (lo, hi) = job
-                    _shard_hybrid(fact, lo, hi).solve(
-                        d[lo:hi],
-                        out=out[lo:hi],
-                        scratch=ws.scratch_for(idx, (lo, hi)),
-                    )
-
-                pool = self.engine.thread_pool(len(self._shards))
-                list(pool.map(run, enumerate(self._shards)))
+        if self.plan.algorithm == "lapack":
+            fact.enforce(check=self.request.check)
+        sweep_factorization(
+            self.engine, self.plan, fact, self._workspace(), d, out,
+            self._shards,
+        )
         return out
 
     def _cyclic_state(self):
@@ -510,9 +475,9 @@ class BoundSolve:
             ap, bp, cp, u, w = cyclic_reduce(
                 request.a, request.b, request.c, check=request.check
             )
-            q, _, _ = self.engine._run_plain(
+            q = self.engine._execute_full(
                 self.plan, ap, bp, cp, u,
-                workers=request.workers, fingerprint=False,
+                workers=request.workers, check=request.check,
             )
             scale = correction_scale(
                 correction_denominator(q, w), request.n, check=request.check
@@ -543,53 +508,33 @@ class BoundSolve:
             self._sweep(self.fact, d, out)
         elif mode == "banded":
             fact = self.fact
-            if self._shards is None:
-                fact.solve_shard(d, out, 0, self.request.m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda s: fact.solve_shard(d, out, s[0], s[1]),
-                        self._shards,
-                    )
-                )
+            for_shards(
+                self.engine, self._shards,
+                lambda i, lo, hi: fact.solve_shard(d, out, lo, hi),
+            )
         elif mode == "cyclic":
             fact = self.fact
-            if self.request.check and fact.singular.size:
-                from repro.core.periodic import (
-                    CyclicSingularError,
-                    _describe_rows,
-                )
+            if self.request.check:
+                from repro.core.periodic import refuse_singular_correction
 
-                raise CyclicSingularError(
-                    "singular Sherman–Morrison correction in batch row(s) "
-                    f"{_describe_rows(fact.singular)} — re-factor with "
-                    "check=False for NaN output"
-                )
+                refuse_singular_correction(fact.singular)
             from repro.core.periodic import apply_cyclic_correction
 
             y = self._sweep(fact.core, d, self._workspace().cyclic_y())
             apply_cyclic_correction(y, fact.q, fact.w, fact.scale, out=out)
         elif mode == "full":
             request = self.request
-            workers = request.workers
-            if workers is not None and workers > 1:
-                self.engine.solve_sharded(
-                    self.plan, workers,
-                    request.a, request.b, request.c, d, out=out,
-                )
-            else:
-                self.engine.execute_pooled(
-                    self.plan,
-                    request.a, request.b, request.c, d, out=out,
-                )
+            self.engine._execute_full(
+                self.plan, request.a, request.b, request.c, d,
+                workers=request.workers, out=out, check=request.check,
+            )
         else:  # full-cyclic
             from repro.core.periodic import apply_cyclic_correction
 
             ap, bp, cp, w, q, scale = self._cyclic_state()
-            y, _, _ = self.engine._run_plain(
+            y = self.engine._execute_full(
                 self.plan, ap, bp, cp, d,
-                workers=self.request.workers, fingerprint=False,
+                workers=self.request.workers, check=self.request.check,
             )
             apply_cyclic_correction(y, q, w, scale, out=out)
         self.steps += 1
@@ -634,16 +579,10 @@ class BoundSolve:
         if self.mode == "rhs" and self.plan.uses_thomas:
             fact = self.fact
             ws = self._workspace()
-            if self._shards is None:
-                fact.solve_shard_t(ws, dt, out_t, 0, m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard_t(ws, dt, out_t, *lohi),
-                        self._shards,
-                    )
-                )
+            for_shards(
+                self.engine, self._shards,
+                lambda i, lo, hi: fact.solve_shard_t(ws, dt, out_t, lo, hi),
+            )
             self.steps += 1
             return out_t
         x = self.step(np.ascontiguousarray(dt.T))

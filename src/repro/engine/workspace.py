@@ -7,7 +7,8 @@ problem shape allocate nothing but their result — the CPU analogue of
 the paper's fixed shared-memory budget (Table I): buffer sizes are a
 function of the plan alone, decided once, reused every launch.
 
-Two shapes of state exist:
+Two shapes of state exist (``"lapack"`` plans need neither: LAPACK
+works in copies of the diagonals and in place on the output):
 
 * ``k = 0`` plans (pure Thomas): transposed ``(N, M)`` copies of the
   four diagonals plus modified-coefficient and solution buffers.  The
@@ -60,7 +61,7 @@ class PlanWorkspace:
                     self.cp, self.dp, self.xt, self.t1, self.t2,
                 )
             )
-        else:
+        elif plan.algorithm == "hybrid":
             self.tiled = TiledWorkspace(m, plan.k, plan.subtile, dtype)
             self.pthomas = PThomasWorkspace(m, n, plan.k, dtype)
             self.nbytes += sum(
@@ -97,7 +98,8 @@ class PreparedWorkspace:
     The prepared path never touches coefficients, so this is the slim
     sibling of :class:`PlanWorkspace`: for ``k = 0`` plans just the
     transposed RHS / modified-RHS / solution buffers (the coefficient
-    triple lives in the factorization); for ``k > 0`` plans a family of
+    triple lives in the factorization); for ``"lapack"`` plans nothing
+    (``?gttrs`` runs in place on the output); for ``k > 0`` plans a family of
     named-buffer dicts that
     :meth:`HybridFactorization.solve <repro.core.factorize.HybridFactorization.solve>`
     keys its ping-pong and regroup buffers into — one dict per shard,
@@ -116,7 +118,7 @@ class PreparedWorkspace:
             self.t2 = np.empty(m, dtype=dtype)
             self._scratch = None
         else:
-            self._scratch = {}
+            self._scratch = {}  # stays empty for "lapack" plans
 
     def scratch_for(self, shard: int, bounds: tuple) -> dict:
         """The named-buffer dict for one shard (``k > 0`` plans only)."""

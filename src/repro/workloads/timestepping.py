@@ -127,10 +127,12 @@ class ADIDiffusion2D:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
+        # a copy: stepping updates the field in place, and the caller's
+        # array must not change with it
+        u0 = np.array(u0, dtype=np.float64, order="C")
         if u0.ndim != 2:
             raise ValueError(f"u0 must be (ny, nx), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = u0
         self.ny, self.nx = self.u.shape
         dy = dx if dy is None else dy
         self.beta_x = alpha * dt / (2.0 * dx * dx)
@@ -219,7 +221,7 @@ class ADIDiffusion3D:
     sweeps — x, then y, then z — each implicit only along its own axis
     with ``β = α·Δt / (2·Δ²)``.  Every sweep reshapes the grid into an
     ``(M, N)`` batch whose rows are the grid lines of that direction,
-    served by its own bound session.
+    served by its own bound session.  ``u0`` is copied.
     """
 
     def __init__(
@@ -233,10 +235,12 @@ class ADIDiffusion3D:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
+        # a copy: stepping updates the field in place, and the caller's
+        # array must not change with it
+        u0 = np.array(u0, dtype=np.float64, order="C")
         if u0.ndim != 3:
             raise ValueError(f"u0 must be (nz, ny, nx), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = u0
         self.nz, self.ny, self.nx = self.u.shape
         self.beta = alpha * dt / (2.0 * dx * dx)
         self.dt = dt
@@ -333,7 +337,7 @@ class CrankNicolsonCubic:
     boundary values fixed (the reaction is not applied there).
 
     ``u0`` is ``(M, N)`` — ``M`` independent 1-D fields stepped as one
-    batch, the library's native workload shape.
+    batch, the library's native workload shape — and is copied.
     """
 
     def __init__(
@@ -350,10 +354,12 @@ class CrankNicolsonCubic:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
+        # a copy: stepping updates the field in place, and the caller's
+        # array must not change with it
+        u0 = np.array(u0, dtype=np.float64, order="C")
         if u0.ndim != 2:
             raise ValueError(f"u0 must be (M, N), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = u0
         m, n = self.u.shape
         self.alpha, self.dt, self.dx = alpha, dt, dx
         self.eps, self.gamma = eps, gamma

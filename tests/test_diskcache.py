@@ -105,11 +105,14 @@ def test_torn_cache_file_is_dropped_not_fatal(tmp_path):
 
 
 def test_cache_filenames_are_digest_named():
-    key = (16, 64, "<f8", 0, "", True, "ab" * 16)
+    key = (16, 64, "<f8", 0, "", "thomas", True, "ab" * 16)
     name = _key_filename(key)
     assert name.startswith("ab" * 16)
     assert "16x64" in name and "float64" in name and "cyclic" in name
     assert name.endswith(".npz")
+    # a LAPACK factorization of the same coefficients never aliases it
+    lapack = _key_filename(key[:5] + ("lapack",) + key[6:])
+    assert lapack != name and "lapack" in lapack
 
 
 def test_disk_cache_rejects_bad_cap(tmp_path):

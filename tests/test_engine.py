@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.core.hybrid import HybridReport, HybridSolver
 from repro.core.pthomas import subsystem_lengths
+from repro.core.transition import GTX480_HEURISTIC
 from repro.core.solver import solve_batch
 from repro.engine import (
     ExecutionEngine,
@@ -54,7 +55,11 @@ def engine():
 def test_engine_bitwise_equals_hybrid(engine, m, n, k, fuse, nw):
     a, b, c, d = make_batch(m, n, seed=m * 1000 + n)
     ref = HybridSolver(k=k, fuse=fuse, n_windows=nw).solve_batch(a, b, c, d)
-    got = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, n_windows=nw)
+    # an explicit table pins the paper's route (unpinned k > 0 cells run
+    # the host LAPACK route instead; see tests/test_lapack_route.py)
+    got = engine.solve_batch(
+        a, b, c, d, k=k, fuse=fuse, n_windows=nw, heuristic=GTX480_HEURISTIC
+    )
     assert np.array_equal(ref, got)
     assert got.dtype == ref.dtype
 

@@ -4,6 +4,8 @@ RHS-only fast path's numerics/sharding/trace contract."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.engine import ExecutionEngine, PreparedPlan, coefficient_fingerprint
@@ -106,6 +108,124 @@ def test_offsample_edit_invalidates_factorization_cache():
     assert np.array_equal(
         x, engine.solve_batch(a, b2, c, d, fingerprint=False)
     )
+
+
+def _integer_batch(m, n, seed):
+    """Integer-valued dominant diagonals: every plain row/column sum of
+    them, and of any ±0.5 edit, is exact whatever the summation order."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, (m, n)).astype(np.float64)
+    c = rng.integers(-3, 4, (m, n)).astype(np.float64)
+    a[:, 0] = 0.0
+    c[:, -1] = 0.0
+    b = 8.0 + np.abs(a) + np.abs(c)
+    return a, b, c, rng.standard_normal((m, n))
+
+
+def test_rectangle_edit_invalidates_factorization_cache():
+    """Regression: the 64x1024 "rectangle" collision.
+
+    ``+0.5`` at ``[5, j1]`` and ``[9, j2]``, ``-0.5`` at ``[5, j2]`` and
+    ``[9, j1]``, all off the sample, keeps every plain row and column sum
+    — the old digest collided and ``k = 0`` served a stale
+    factorization.  The weighted sums must tell the arrays apart.
+    """
+    from repro.engine.prepared import FINGERPRINT_CHUNK, _sample_indices
+
+    m, n = 64, FINGERPRINT_CHUNK
+    a, b, c, d = _integer_batch(m, n, seed=33)
+    sampled = set(_sample_indices(m * n).tolist())
+    j1, j2 = [
+        j for j in range(n)
+        if all(r * n + j not in sampled for r in (5, 9))
+    ][:2]
+    b2 = b.copy()
+    b2[5, j1] += 0.5
+    b2[9, j2] += 0.5
+    b2[5, j2] -= 0.5
+    b2[9, j1] -= 0.5
+    # the old digest's views are identical ...
+    for axis in (0, 1):
+        assert np.array_equal(b2.sum(axis=axis), b.sum(axis=axis))
+    idx = _sample_indices(m * n)
+    assert np.array_equal(b2.reshape(-1)[idx], b.reshape(-1)[idx])
+    # ... the new one is not, and the engine re-eliminates
+    assert coefficient_fingerprint(a, b2, c) != coefficient_fingerprint(a, b, c)
+    engine = ExecutionEngine()
+    _info_solve(engine, a, b, c, d, k=0)
+    _, info = _info_solve(engine, a, b, c, d, k=0)
+    assert info["factorization"] == "factored"
+    x, info = _info_solve(engine, a, b2, c, d, k=0)
+    assert info["factorization"] == "miss"
+    assert np.array_equal(
+        x, engine.solve_batch(a, b2, c, d, k=0, fingerprint=False)
+    )
+
+
+_EDIT_BASE = np.random.default_rng(34).standard_normal((64, 1024))
+_EDIT_DIGEST = coefficient_fingerprint(_EDIT_BASE)
+
+
+def _offsample_positions():
+    from repro.engine.prepared import _sample_indices
+
+    return np.setdiff1d(
+        np.arange(_EDIT_BASE.size), _sample_indices(_EDIT_BASE.size)
+    )
+
+
+_OFFSAMPLE = _offsample_positions()
+_edit = st.tuples(
+    st.integers(0, _OFFSAMPLE.size - 1),
+    st.floats(0.01, 100.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_edit, min_size=1, max_size=4, unique_by=lambda e: e[0]))
+def test_sparse_offsample_edits_always_change_the_digest(edits):
+    flat = _EDIT_BASE.copy().reshape(-1)
+    for pos, size, negative in edits:
+        flat[_OFFSAMPLE[pos]] += -size if negative else size
+    assert coefficient_fingerprint(flat.reshape(_EDIT_BASE.shape)) != _EDIT_DIGEST
+
+
+_EDIT_BASE32 = (
+    6.0 + np.random.default_rng(35).random((64, 1024))
+).astype(np.float32)
+_EDIT_DIGEST32 = coefficient_fingerprint(_EDIT_BASE32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, _OFFSAMPLE.size - 1),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_few_ulp_float32_edits_always_change_the_digest(pos, ulps, down):
+    """A float32 entry moved by a few ulps, off the sample: the float64
+    weighted sums still see it (float32 sums of ~6000 would not)."""
+    flat = _EDIT_BASE32.copy().reshape(-1)
+    bits = flat.view(np.int32)  # positive floats: +1 in the bits is +1 ulp
+    bits[_OFFSAMPLE[pos]] += -ulps if down else ulps
+    assert coefficient_fingerprint(flat.reshape(_EDIT_BASE32.shape)) != _EDIT_DIGEST32
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 63), st.integers(0, 63),
+    st.integers(0, 1023), st.integers(0, 1023),
+    st.floats(0.01, 100.0),
+)
+def test_rectangle_edits_always_change_the_digest(r1, r2, j1, j2, size):
+    assume(r1 != r2 and j1 != j2)
+    grid = _EDIT_BASE.copy()
+    grid[r1, j1] += size
+    grid[r2, j2] += size
+    grid[r1, j2] -= size
+    grid[r2, j1] -= size
+    assert coefficient_fingerprint(grid) != _EDIT_DIGEST
 
 
 # ------------------------------------------------ factorization cache
