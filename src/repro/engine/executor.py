@@ -12,14 +12,14 @@ Every path is held **bitwise identical** to the reference
 
 * ``k > 0`` plans run the same :class:`~repro.core.tiled_pcr.TiledPCR`
   sweep and p-Thomas back-end, just against plan-owned workspaces.
-* ``k = 0`` plans run the Thomas recurrence in a *transposed* layout:
-  the diagonals are copied once into ``(N, M)`` buffers so the
-  sequential row loop streams contiguous memory instead of striding
-  across the batch (each of the ``2N`` recurrence steps touches one
-  contiguous ``M``-vector).  The arithmetic per system is unchanged —
-  identical operations in identical order, just a different memory
-  walk — so results match :func:`repro.core.thomas.thomas_solve_batch`
-  bit for bit.
+* ``k = 0`` plans run the Thomas recurrence in a *transposed* ``(N,
+  M)`` layout — one contiguous ``M``-vector per recurrence step —
+  between cache-blocked copies (:func:`repro.core.layout.transpose_into`).
+  The kernel pair :func:`factor_t` / :func:`solve_t`, shared by every
+  prepared and session ``k = 0`` sweep, runs in place in the operation
+  order of :func:`repro.core.thomas.thomas_solve_batch`, so results
+  match it bit for bit; :func:`thomas_breakdown` types non-finite
+  systems.
 * ``"lapack"`` plans (the host route for Table III's ``k > 0`` cells)
   hand the whole batch to one flattened ``?gtsv`` call
   (:func:`repro.core.gtsv.gtsv_batch`); they need no workspace.
@@ -34,15 +34,18 @@ the plan *before* sharding, from the full ``M``.
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 
 from repro.core.gtsv import gtsv_batch
 from repro.core.hybrid import _FusedPThomas
+from repro.core.layout import transpose_into
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
+from repro.core.validation import SingularSystemError, describe_rows
 
-__all__ = ["execute_plan", "shard_bounds"]
+__all__ = ["execute_plan", "factor_t", "shard_bounds", "solve_t", "thomas_breakdown"]
 
 
 def shard_bounds(m: int, workers: int) -> list:
@@ -56,44 +59,70 @@ def shard_bounds(m: int, workers: int) -> list:
     ]
 
 
-def _thomas_transposed(ws, a, b, c, d, out=None) -> np.ndarray:
-    """Batched Thomas over transposed ``(N, M)`` workspace buffers.
+def factor_t(ta, tb, tc, cp, denom, t1) -> None:
+    """``denom_i = b_i − c'_{i−1}·a_i``, ``c'_i = c_i / denom_i`` per ``(N, M)`` row.
 
-    Same recurrence, same operation order as
-    :func:`repro.core.thomas.thomas_solve_batch`; the transpose only
-    changes which axis is contiguous during the sequential row loop.
+    ``denom`` may alias ``tb`` and ``cp`` may alias ``tc``; ``t1`` is an
+    ``M``-vector scratch.
     """
-    n = ws.tb.shape[0]
-    ta, tb, tc, td = ws.ta, ws.tb, ws.tc, ws.td
-    ta[...] = a.T
-    tb[...] = b.T
-    tc[...] = c.T
-    td[...] = d.T
-    cp, dp, xt = ws.cp, ws.dp, ws.xt
-    t1, t2 = ws.t1, ws.t2
-    # Forward reduction (Eqs. 2-3): denom = b_i - cp_{i-1} * a_i,
-    # cp_i = c_i / denom, dp_i = (d_i - dp_{i-1} * a_i) / denom.
-    np.divide(tc[0], tb[0], out=cp[0])
-    np.divide(td[0], tb[0], out=dp[0])
-    for i in range(1, n):
-        np.multiply(cp[i - 1], ta[i], out=t1)
-        np.subtract(tb[i], t1, out=t1)
-        np.divide(tc[i], t1, out=cp[i])
-        np.multiply(dp[i - 1], ta[i], out=t2)
-        np.subtract(td[i], t2, out=t2)
-        np.divide(t2, t1, out=dp[i])
-    # Backward substitution (Eq. 4): x_i = dp_i - cp_i * x_{i+1}.
-    xt[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        np.multiply(cp[i], xt[i + 1], out=t1)
-        np.subtract(dp[i], t1, out=xt[i])
-    if out is not None:
-        out[...] = xt.T
-        return out
-    # .copy() (not ascontiguousarray) — for m == 1 the transpose is
-    # already contiguous and ascontiguousarray would return a view into
-    # the pooled workspace, which the next same-plan solve overwrites.
-    return xt.T.copy()
+    denom[0] = tb[0]
+    np.divide(tc[0], denom[0], out=cp[0])
+    for a_i, b_i, c_i, cp_prev, cp_i, den_i in zip(
+        ta[1:], tb[1:], tc[1:], cp, cp[1:], denom[1:]
+    ):
+        np.multiply(cp_prev, a_i, out=t1)
+        np.subtract(b_i, t1, out=den_i)
+        np.divide(c_i, den_i, out=cp_i)
+
+
+def solve_t(ta, cp, denom, dt, dp, xt, t1, t2) -> None:
+    """``d'_i = (d_i − d'_{i−1}·a_i) / denom_i``, ``x_i = d'_i − c'_i·x_{i+1}``.
+
+    Eqs. 3-4 over the ``(N, M)`` rows :func:`factor_t` left; ``dp`` and
+    ``xt`` may alias ``dt`` and each other.
+    """
+    np.divide(dt[0], denom[0], out=dp[0])
+    for a_i, d_i, den_i, dp_prev, dp_i in zip(ta[1:], dt[1:], denom[1:], dp, dp[1:]):
+        np.multiply(dp_prev, a_i, out=t2)
+        np.subtract(d_i, t2, out=t2)
+        np.divide(t2, den_i, out=dp_i)
+    xt[-1] = dp[-1]
+    for cp_i, dp_i, x_next, x_i in zip(cp[-2::-1], dp[-2::-1], xt[::-1], xt[-2::-1]):
+        np.multiply(cp_i, x_next, out=t1)
+        np.subtract(dp_i, t1, out=x_i)
+
+
+def thomas_breakdown(xt, denom, *, check: bool, first_system: int = 0) -> None:
+    """Raise or warn if the ``(N, M)`` solution ``xt`` has non-finite systems.
+
+    One axis-0 sum screens all systems; the exact check runs only when
+    it is non-finite.  Same policy as :func:`repro.core.gtsv.singular_policy`:
+    ``check=True`` raises :class:`SingularSystemError` naming the first
+    bad system and its first zero or non-finite pivot in ``denom``,
+    ``check=False`` warns and leaves the rows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(xt.sum(axis=0)).all():
+            return
+    bad = np.flatnonzero(~np.isfinite(xt).all(axis=0))
+    if bad.size == 0:  # only the checksum overflowed
+        return
+    systems = bad + first_system
+    if not check:
+        warnings.warn(
+            f"Thomas elimination broke down in system(s) {describe_rows(systems)}; "
+            "their rows are left non-finite", RuntimeWarning, stacklevel=3,
+        )
+        return
+    pivots = denom[:, bad[0]]
+    rows = np.flatnonzero((pivots == 0) | ~np.isfinite(pivots))
+    row = int(rows[0]) if rows.size else None  # None: overflow, no bad pivot
+    raise SingularSystemError(
+        f"Thomas elimination broke down in batch system {systems[0]}, row {row} "
+        f"(non-finite systems {describe_rows(systems)}): zero or non-finite pivot, and "
+        "the k = 0 route does not pivot (pass check=False for non-finite output instead)",
+        systems=systems, row=row,
+    )
 
 
 def execute_plan(
@@ -118,9 +147,10 @@ def execute_plan(
     given, receives the solution (shard writes).  ``stage_times``, if
     given, receives ``(stage name, seconds)`` pairs — the per-stage
     wall-time hook behind :class:`~repro.backends.trace.SolveTrace`.
-    ``check`` / ``first_system`` set the singular-system policy of
-    ``"lapack"`` plans and the batch-row numbering it reports (a shard
-    passes its first row).
+    ``check`` / ``first_system`` set the breakdown policy — the
+    singular-system policy of ``"lapack"`` plans, the
+    :func:`thomas_breakdown` guard of ``k = 0`` plans — and the
+    batch-row numbering it reports (a shard passes its first row).
     """
     if not ws.fits(plan):
         raise ValueError("workspace was built for a different plan")
@@ -133,8 +163,15 @@ def execute_plan(
             stage_times.append(("lapack gtsv", time.perf_counter() - t0))
         return x
     if plan.uses_thomas:
+        # in place: c' over c, pivots over b, d' and x over d
         t0 = time.perf_counter()
-        x = _thomas_transposed(ws, a, b, c, d, out=out)
+        ta, tb, tc, td = ws.ta, ws.tb, ws.tc, ws.td
+        for dst, src in ((ta, a), (tb, b), (tc, c), (td, d)):
+            transpose_into(dst, src)
+        factor_t(ta, tb, tc, tc, tb, ws.t1)
+        solve_t(ta, tc, tb, td, td, td, ws.t1, ws.t2)
+        thomas_breakdown(td, tb, check=check, first_system=first_system)
+        x = transpose_into(np.empty(b.shape, b.dtype) if out is None else out, td)
         if stage_times is not None:
             stage_times.append(
                 ("thomas (transposed)", time.perf_counter() - t0)

@@ -13,10 +13,10 @@ the factor/solve split; this module wires it through the engine:
   re-eliminating after its first few steps.
 * :class:`ThomasRhsFactorization` — the ``k = 0`` factorization in the
   engine's transposed ``(N, M)`` layout.  Its forward sweep stores the
-  *denominator* (not its reciprocal) and the RHS sweep divides by it,
-  mirroring :func:`repro.engine.executor._thomas_transposed` operation
-  for operation — prepared ``k = 0`` solves are **bitwise identical**
-  to unprepared ones.  The ``"lapack"`` route's
+  *denominator* (not its reciprocal) and the RHS sweep divides by it:
+  both halves are the executor's own ``factor_t`` / ``solve_t`` kernels,
+  so prepared ``k = 0`` solves are **bitwise identical** to unprepared
+  ones.  The ``"lapack"`` route's
   :class:`~repro.core.gtsv.GttrfFactorization` is exact the same way
   (``?gttrs`` replays ``?gtsv``).  This is why only those plans
   auto-engage the fingerprint fast path; ``k > 0`` hybrid factorizations
@@ -50,7 +50,8 @@ from repro.core.validation import (
     coerce_batch_arrays,
     coerce_cyclic_batch_arrays,
 )
-from repro.engine.executor import shard_bounds
+from repro.core.layout import transpose_into
+from repro.engine.executor import factor_t, shard_bounds, solve_t, thomas_breakdown
 
 __all__ = [
     "CyclicRhsFactorization",
@@ -185,10 +186,10 @@ class ThomasRhsFactorization:
     """``k = 0`` factorization in the engine's transposed layout.
 
     Stores the sub-diagonal, the modified super-diagonal ``c'`` and the
-    forward-elimination *denominators* as ``(N, M)`` arrays.  The RHS
-    sweep divides by the stored denominator — the identical operation
-    sequence as :func:`~repro.engine.executor._thomas_transposed`, so a
-    prepared solve reproduces an unprepared engine solve bit for bit.
+    forward-elimination *denominators* as ``(N, M)`` arrays.  Both
+    halves are the one-shot path's kernels (:func:`~repro.engine.executor.factor_t`,
+    :func:`~repro.engine.executor.solve_t`), so a prepared solve
+    reproduces an unprepared engine solve bit for bit.
     """
 
     __slots__ = ("ta", "cp", "denom", "nbytes")
@@ -209,79 +210,42 @@ class ThomasRhsFactorization:
 
     @classmethod
     def factor(cls, a, b, c) -> "ThomasRhsFactorization":
-        """Coefficient-only forward elimination over ``(M, N)`` inputs.
-
-        Operation-for-operation the coefficient half of
-        ``_thomas_transposed``: ``denom_i = b_i − c'_{i−1} a_i`` (that
-        exact multiply-then-subtract order), ``c'_i = c_i / denom_i``.
-        """
+        """Coefficient-only forward elimination over ``(M, N)`` inputs:
+        :func:`~repro.engine.executor.factor_t` in place over blocked
+        transposes (the pivots over ``b``'s, ``c'`` over ``c``'s)."""
         m, n = b.shape
-        ta = np.ascontiguousarray(a.T)
-        tb = np.ascontiguousarray(b.T)
-        tc = np.ascontiguousarray(c.T)
-        cp = np.empty((n, m), dtype=b.dtype)
-        denom = np.empty((n, m), dtype=b.dtype)
-        t1 = np.empty(m, dtype=b.dtype)
-        denom[0] = tb[0]
-        np.divide(tc[0], tb[0], out=cp[0])
-        for i in range(1, n):
-            np.multiply(cp[i - 1], ta[i], out=t1)
-            np.subtract(tb[i], t1, out=denom[i])
-            np.divide(tc[i], denom[i], out=cp[i])
+        ta, denom, cp = (
+            transpose_into(np.empty((n, m), dtype=b.dtype), x) for x in (a, b, c)
+        )
+        factor_t(ta, denom, cp, cp, denom, np.empty(m, dtype=b.dtype))
         return cls(ta=ta, cp=cp, denom=denom)
 
     def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """RHS-only sweep for batch rows ``[lo, hi)`` into ``out``.
+        """RHS-only sweep for batch rows ``[lo, hi)`` of ``d`` into ``out``.
 
-        Shards are column slices of the transposed ``(N, M)`` workspace
-        buffers, so concurrent shards share one workspace and write
-        disjoint regions.  Identical operation order to the full solve:
-        multiply, subtract, divide by the stored denominator.
+        :meth:`solve_shard_t` in place on columns ``[lo, hi)`` of the
+        workspace's ``(N, M)`` buffer (concurrent shards touch disjoint
+        columns), between two blocked transposes.
         """
-        n = self.n
-        ta, cp, denom = self.ta, self.cp, self.denom
-        td, dp, xt = ws.td, ws.dp, ws.xt
-        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
-        s = slice(lo, hi)
-        td[:, s] = d[s].T
-        np.divide(td[0, s], denom[0, s], out=dp[0, s])
-        for i in range(1, n):
-            np.multiply(dp[i - 1, s], ta[i, s], out=t2)
-            np.subtract(td[i, s], t2, out=t2)
-            np.divide(t2, denom[i, s], out=dp[i, s])
-        xt[n - 1, s] = dp[n - 1, s]
-        for i in range(n - 2, -1, -1):
-            np.multiply(cp[i, s], xt[i + 1, s], out=t1)
-            np.subtract(dp[i, s], t1, out=xt[i, s])
-        out[s] = xt[:, s].T
+        td = ws.td
+        transpose_into(td[:, lo:hi], d[lo:hi])
+        self.solve_shard_t(ws, td, td, lo, hi)
+        transpose_into(out[lo:hi], td[:, lo:hi])
 
     def solve_shard_t(self, ws, dt, out_t, lo: int, hi: int) -> None:
         """Transposed-layout RHS sweep: ``(N, M)`` in, ``(N, M)`` out.
 
-        The sweep already runs in the transposed layout internally;
-        this entry point reads the right-hand side straight from the
-        caller's ``(N, M)`` array and writes the solution into the
-        caller's ``(N, M)`` output — no staging copies at all.  The
-        arithmetic is operation-for-operation :meth:`solve_shard`
-        (copies never change bits), so transposed-layout solves keep
-        the bitwise promise.  This is the ADI fast path: alternating
-        sweep directions hand each solve its input in exactly this
-        orientation.
+        :func:`~repro.engine.executor.solve_t` on columns ``[lo, hi)``
+        of the caller's arrays, ``d'`` and ``x`` both held in ``out_t``:
+        no staging copies.  This is the ADI fast path — alternating
+        sweep directions hand each solve its input in this orientation.
         """
-        n = self.n
-        ta, cp, denom = self.ta, self.cp, self.denom
-        dp = ws.dp
-        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
         s = slice(lo, hi)
-        np.divide(dt[0, s], denom[0, s], out=dp[0, s])
-        for i in range(1, n):
-            np.multiply(dp[i - 1, s], ta[i, s], out=t2)
-            np.subtract(dt[i, s], t2, out=t2)
-            np.divide(t2, denom[i, s], out=dp[i, s])
-        out_t[n - 1, s] = dp[n - 1, s]
-        for i in range(n - 2, -1, -1):
-            np.multiply(cp[i, s], out_t[i + 1, s], out=t1)
-            np.subtract(dp[i, s], t1, out=out_t[i, s])
+        x = out_t[:, s]
+        solve_t(
+            self.ta[:, s], self.cp[:, s], self.denom[:, s], dt[:, s], x, x,
+            ws.t1[s], ws.t2[s],
+        )
 
 
 def factorization_nbytes(fact) -> int:
@@ -382,8 +346,10 @@ def rhs_only_sweep(
     the engine's pool, optionally shards the batch axis across the
     engine's thread pool, and returns the solution.  ``d`` must be a
     contiguous ``(M, N)`` array of the plan's dtype.  ``check`` is the
-    singular-system policy of a ``"lapack"`` factorization (raise, or
-    warn and write NaN rows).
+    breakdown policy (raise, or warn and leave NaN rows): the
+    singular-system policy of a ``"lapack"`` factorization, the
+    :func:`~repro.engine.executor.thomas_breakdown` guard of a ``k = 0``
+    one.
     """
     m, n = plan.m, plan.n
     if out is None:
@@ -397,6 +363,8 @@ def rhs_only_sweep(
         sweep_factorization(engine, plan, fact, ws, d, out, shards)
     finally:
         engine.checkin_prepared(plan, ws)
+    if plan.uses_thomas:
+        thomas_breakdown(out.T, fact.denom, check=check)
     if stage_times is not None:
         tag = f" [{len(shards)} shards]" if len(shards) > 1 else ""
         stage_times.append(

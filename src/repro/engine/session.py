@@ -41,6 +41,7 @@ import time
 import numpy as np
 
 from repro.core.hybrid import HybridReport
+from repro.core.layout import transpose_into
 from repro.core.tiled_pcr import TilingCounters
 from repro.engine.executor import shard_bounds
 from repro.engine.prepared import (
@@ -428,7 +429,7 @@ class BoundSolve:
         return SolveOutcome(x=out, trace=trace, factorization=kept, plan=plan)
 
     # ---- hot loop ----------------------------------------------------
-    def _canon_d(self, d):
+    def _canon_d(self, d, shape, name="d"):
         """The per-step input scan: canonical arrays pass untouched."""
         if not (
             type(d) is np.ndarray
@@ -436,10 +437,8 @@ class BoundSolve:
             and d.flags.c_contiguous
         ):
             d = np.ascontiguousarray(d, dtype=self._dtype)
-        if d.shape != self._dshape:
-            raise ValueError(
-                f"d has shape {d.shape}, session bound for {self._dshape}"
-            )
+        if d.shape != shape:
+            raise ValueError(f"{name} has shape {d.shape}, session bound for {shape}")
         return d
 
     def _workspace(self):
@@ -494,11 +493,13 @@ class BoundSolve:
         instrumentation belongs to :meth:`step_once`.  Bitwise identical
         to an independent one-shot solve of the same system wherever the
         one-shot path makes that promise (every ``k = 0`` route, all
-        banded routes).
+        banded routes).  Unchecked by design on the ``k = 0`` RHS-only
+        route: no breakdown guard, so a zero pivot leaves non-finite
+        rows silently; :meth:`step_once` is the checked path.
         """
         if self.closed:
             raise RuntimeError("session is closed")
-        d = self._canon_d(d)
+        d = self._canon_d(d, self._dshape)
         if out is None:
             out = self._out
             if out is None:
@@ -551,8 +552,8 @@ class BoundSolve:
         :meth:`~repro.engine.prepared.ThomasRhsFactorization.solve_shard_t`
         directly (bitwise identical to :meth:`step` on the transposed
         arrays: only copies are elided, never arithmetic); every other
-        mode canonicalizes through :meth:`step` with explicit
-        transposes.  ``out_t`` defaults to a session-owned buffer
+        mode runs :meth:`step` between two blocked transposes.  Unchecked,
+        like :meth:`step`.  ``out_t`` defaults to a session-owned buffer
         reused across steps — copy it if you keep references.
         """
         if self.closed:
@@ -562,16 +563,7 @@ class BoundSolve:
                 "step_t is defined for (M, N) sessions, not block systems"
             )
         m, n = self._dshape
-        if not (
-            type(dt) is np.ndarray
-            and dt.dtype == self._dtype
-            and dt.flags.c_contiguous
-        ):
-            dt = np.ascontiguousarray(dt, dtype=self._dtype)
-        if dt.shape != (n, m):
-            raise ValueError(
-                f"dt has shape {dt.shape}, session bound for {(n, m)}"
-            )
+        dt = self._canon_d(dt, (n, m), "dt")
         if out_t is None:
             out_t = self._out_t
             if out_t is None:
@@ -585,9 +577,8 @@ class BoundSolve:
             )
             self.steps += 1
             return out_t
-        x = self.step(np.ascontiguousarray(dt.T))
-        out_t[:] = x.T
-        return out_t
+        x = self.step(transpose_into(np.empty((m, n), dtype=self._dtype), dt))
+        return transpose_into(out_t, x)
 
     # ---- lifecycle ---------------------------------------------------
     @property

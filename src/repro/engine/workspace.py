@@ -11,12 +11,13 @@ Two shapes of state exist (``"lapack"`` plans need neither: LAPACK
 works in copies of the diagonals and in place on the output):
 
 * ``k = 0`` plans (pure Thomas): transposed ``(N, M)`` copies of the
-  four diagonals plus modified-coefficient and solution buffers.  The
-  Thomas recurrence walks rows sequentially; in the natural ``(M, N)``
-  layout each step strides across cache lines, so the executor copies
-  the batch into column-major-equivalent buffers once and streams
-  contiguous memory for all ``2N`` passes.  The arithmetic is
-  elementwise per system, so results stay bitwise identical to
+  four diagonals (cache-blocked :func:`~repro.core.layout.transpose_into`
+  copies) plus two ``M``-vector scratch rows.  In the natural ``(M, N)``
+  layout each recurrence step strides across cache lines; transposed,
+  all ``2N`` passes stream contiguous rows.  The one kernel pair
+  :func:`~repro.engine.executor.factor_t` / ``solve_t`` runs in place
+  (``c'`` over ``c``, the pivots over ``b``, ``d'`` and ``x`` over
+  ``d``), elementwise per system, so results stay bitwise identical to
   :func:`repro.core.thomas.thomas_solve_batch`.
 * ``k > 0`` plans (hybrid): the sliding-window ring buffers
   (:class:`~repro.core.tiled_pcr.TiledWorkspace`), the p-Thomas
@@ -45,22 +46,9 @@ class PlanWorkspace:
         if plan.uses_thomas:
             # Transposed layout: rows of the Thomas recurrence become
             # contiguous (N, M) rows.
-            self.ta = np.empty((n, m), dtype=dtype)
-            self.tb = np.empty((n, m), dtype=dtype)
-            self.tc = np.empty((n, m), dtype=dtype)
-            self.td = np.empty((n, m), dtype=dtype)
-            self.cp = np.empty((n, m), dtype=dtype)
-            self.dp = np.empty((n, m), dtype=dtype)
-            self.xt = np.empty((n, m), dtype=dtype)
-            self.t1 = np.empty(m, dtype=dtype)
-            self.t2 = np.empty(m, dtype=dtype)
-            self.nbytes = sum(
-                v.nbytes
-                for v in (
-                    self.ta, self.tb, self.tc, self.td,
-                    self.cp, self.dp, self.xt, self.t1, self.t2,
-                )
-            )
+            self.ta, self.tb, self.tc, self.td = np.empty((4, n, m), dtype=dtype)
+            self.t1, self.t2 = np.empty((2, m), dtype=dtype)
+            self.nbytes = (4 * n + 2) * m * self.ta.itemsize
         elif plan.algorithm == "hybrid":
             self.tiled = TiledWorkspace(m, plan.k, plan.subtile, dtype)
             self.pthomas = PThomasWorkspace(m, n, plan.k, dtype)
@@ -96,8 +84,8 @@ class PreparedWorkspace:
     """Scratch for one in-flight RHS-only prepared solve.
 
     The prepared path never touches coefficients, so this is the slim
-    sibling of :class:`PlanWorkspace`: for ``k = 0`` plans just the
-    transposed RHS / modified-RHS / solution buffers (the coefficient
+    sibling of :class:`PlanWorkspace`: for ``k = 0`` plans one
+    transposed RHS buffer the sweep runs in place over (the coefficient
     triple lives in the factorization); for ``"lapack"`` plans nothing
     (``?gttrs`` runs in place on the output); for ``k > 0`` plans a family of
     named-buffer dicts that
@@ -112,10 +100,7 @@ class PreparedWorkspace:
         self._cyclic_y = None
         if plan.uses_thomas:
             self.td = np.empty((n, m), dtype=dtype)
-            self.dp = np.empty((n, m), dtype=dtype)
-            self.xt = np.empty((n, m), dtype=dtype)
-            self.t1 = np.empty(m, dtype=dtype)
-            self.t2 = np.empty(m, dtype=dtype)
+            self.t1, self.t2 = np.empty((2, m), dtype=dtype)
             self._scratch = None
         else:
             self._scratch = {}  # stays empty for "lapack" plans
@@ -142,10 +127,7 @@ class PreparedWorkspace:
         """Bytes currently held (hybrid dicts fill lazily)."""
         extra = 0 if self._cyclic_y is None else self._cyclic_y.nbytes
         if self._scratch is None:
-            return extra + sum(
-                v.nbytes
-                for v in (self.td, self.dp, self.xt, self.t1, self.t2)
-            )
+            return extra + self.td.nbytes + 2 * self.t1.nbytes
         return extra + sum(
             arr.nbytes
             for bufs in self._scratch.values()

@@ -122,6 +122,27 @@ def test_results_never_alias_pooled_workspaces(engine):
         assert np.array_equal(x1, keep), (m, n)
 
 
+@pytest.mark.parametrize("fingerprint", [True, False])
+def test_step_t_default_output_is_the_reused_session_buffer(fingerprint):
+    # step_t(out_t=None) documents session-buffer reuse: both steps
+    # return the same array, holding the latest solution — including
+    # M = 1, where the output is never a view of pooled workspaces.
+    from repro.backends import bind_via
+
+    for m, n in [(1, 16), (3, 64)]:
+        a, b, c, d = make_batch(m, n, seed=n)
+        session = bind_via(
+            a, b, c, d, backend="engine", k=0, fingerprint=fingerprint
+        )
+        x1 = session.step_t(np.ascontiguousarray(d.T))
+        first = x1.copy()
+        x2 = session.step_t(np.ascontiguousarray((d + 1.0).T))
+        assert x2 is x1, (m, n)
+        assert np.array_equal(x2, solve_batch(a, b, c, d + 1.0, k=0).T)
+        assert not np.array_equal(x2, first)
+        session.close()
+
+
 # ---------------------------------------------------------------------------
 # dtype preservation
 # ---------------------------------------------------------------------------
