@@ -45,7 +45,6 @@ from repro.core.validation import SingularSystemError
 from repro.core import (
     GTX480_HEURISTIC,
     BlockThomasFactorization,
-    CyclicFactorization,
     CyclicSingularError,
     HybridFactorization,
     PentaFactorization,
@@ -129,7 +128,6 @@ __all__ = [
     "block_thomas_solve_batch",
     "ThomasFactorization",
     "HybridFactorization",
-    "CyclicFactorization",
     "CyclicSingularError",
     "SingularSystemError",
     "PentaFactorization",

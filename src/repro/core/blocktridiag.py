@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.validation import check_block_batch_arrays
+from repro.core.validation import check_block_batch_arrays, sweep_breakdown
 
 __all__ = [
     "BlockThomasFactorization",
@@ -117,14 +117,28 @@ class BlockThomasFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(d, out, 0, self.m)
+        self.solve_shard(None, d, out, 0, self.m)
         return out
 
-    def solve_shard(self, d, out, lo: int, hi: int) -> None:
+    def breakdown(self, ws, x, *, check: bool) -> None:
+        """The breakdown hook: nothing to enforce before a sweep
+        (``x is None``); after one, a non-finite system of ``x`` raises
+        :class:`~repro.core.validation.SingularSystemError` (warns under
+        ``check=False``), naming its first zero or non-finite pivot for
+        ``B = 1`` blocks and row ``None`` otherwise."""
+        if x is not None:
+            pivots = self.piv[..., 0, 0].T if self.block_size == 1 else None
+            sweep_breakdown(
+                "block-Thomas elimination", x.reshape(self.m, -1).T, pivots,
+                check=check,
+            )
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """Sweep systems ``lo:hi`` into ``out[lo:hi]``.
 
         Stacked ``matmul`` / ``linalg.solve`` treat each system
         independently, so shard results do not depend on the bounds.
+        The sweep allocates its own scratch (``ws`` is ignored).
         """
         s = slice(lo, hi)
         n = self.n

@@ -124,7 +124,7 @@ def gtsv_batch(a, b, c, d, *, out=None, check: bool = True, first_system: int = 
             singular_policy([info - 1], n, check=True, first_system=first_system)
         fact = GttrfFactorization.factor(a, b, c)
         fact.enforce(check=False, first_system=first_system)
-        fact.solve_shard(d, buf, 0, m)
+        fact.solve_shard(None, d, buf, 0, m)
     elif x is not rhs:  # pragma: no cover - f2py honours overwrite_b here
         rhs[...] = x
     if buf is not out:
@@ -195,12 +195,19 @@ class GttrfFactorization:
             piv = self._shard_ipiv[(lo, hi)] = self.ipiv[r0 : hi * self.n] - r0
         return piv
 
-    def solve_shard(self, d, out, lo: int, hi: int) -> None:
+    def breakdown(self, ws, x, *, check: bool) -> None:
+        """The breakdown hook: before a sweep (``x is None``) the
+        factor-time zero pivots (:meth:`enforce`); a swept solution
+        needs no further check."""
+        if x is None:
+            self.enforce(check=check)
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """``?gttrs`` for batch rows ``[lo, hi)`` of ``d`` into ``out``.
 
         The sweep runs in place on ``out``'s rows (through a scratch
-        copy when they are not contiguous); singular systems come out
-        as NaN rows.
+        copy when they are not contiguous), so it needs no workspace
+        (``ws`` is ignored); singular systems come out as NaN rows.
         """
         n = self.n
         r0, r1 = lo * n, hi * n

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.validation import check_penta_batch_arrays
+from repro.core.validation import check_penta_batch_arrays, sweep_breakdown
 
 __all__ = [
     "PentaFactorization",
@@ -126,14 +126,24 @@ class PentaFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(d, out, 0, self.m)
+        self.solve_shard(None, d, out, 0, self.m)
         return out
 
-    def solve_shard(self, d, out, lo: int, hi: int) -> None:
+    def breakdown(self, ws, x, *, check: bool) -> None:
+        """The breakdown hook: nothing to enforce before a sweep
+        (``x is None``); after one, a non-finite system of ``x`` raises
+        :class:`~repro.core.validation.SingularSystemError` naming its
+        first zero or non-finite pivot ``α`` (warns under
+        ``check=False``)."""
+        if x is not None:
+            sweep_breakdown("pentadiagonal elimination", x.T, self.alpha, check=check)
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """Sweep systems ``lo:hi`` of the batch into ``out[lo:hi]``.
 
         Every operation is elementwise along the batch axis, so shard
-        results are bitwise independent of the shard bounds.
+        results are bitwise independent of the shard bounds.  The sweep
+        allocates its own row scratch (``ws`` is ignored).
         """
         s = slice(lo, hi)
         n = self.n

@@ -28,8 +28,10 @@ The helpers here (:func:`cyclic_reduce`,
 :func:`correction_denominator`, :func:`correction_scale`,
 :func:`apply_cyclic_correction`) are the *single* implementation of the
 corner algebra — the direct algorithm paths, the generic backend
-fallback, :class:`~repro.core.factorize.CyclicFactorization`, and the
-engine's prepared cyclic sweep all call them, so every backend runs the
+fallback, and the engine's cyclic sessions and stored
+:class:`~repro.engine.prepared.CyclicRhsFactorization` (the factor-once
+path, reached through ``repro.prepare(..., periodic=True)``) all call
+them, so every backend runs the
 identical elementwise operation sequence (the cross-backend bitwise
 contract of ``tests/test_backends.py`` extends to periodic solves).
 

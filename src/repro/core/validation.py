@@ -9,6 +9,8 @@ with ``check=False`` in inner loops.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "check_block_batch_arrays",
     "require_power_of_two",
     "is_power_of_two",
+    "sweep_breakdown",
 ]
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
@@ -34,8 +37,10 @@ class SingularSystemError(ValueError):
     """A batch system has no unique solution.
 
     Raised under ``check=True`` when elimination meets an exact zero
-    pivot (the LAPACK route's ``?gtsv`` / ``?gttrf`` ``info > 0``) or a
-    cyclic system's Sherman–Morrison correction ``1 + vᵀq`` vanishes.
+    pivot (the LAPACK route's ``?gtsv`` / ``?gttrf`` ``info > 0``), a
+    non-pivoting sweep leaves a system non-finite
+    (:func:`sweep_breakdown`), or a cyclic system's Sherman–Morrison
+    correction ``1 + vᵀq`` vanishes.
     Under ``check=False`` the same conditions warn and write NaN rows
     for exactly the singular systems instead.
 
@@ -55,6 +60,44 @@ def describe_rows(rows) -> str:
     shown = ", ".join(str(int(r)) for r in rows[:8])
     more = "" if len(rows) <= 8 else f" (+{len(rows) - 8} more)"
     return f"[{shown}]{more}"
+
+
+def sweep_breakdown(kernel: str, xt, pivots, *, check: bool, first_system: int = 0) -> None:
+    """Raise or warn if the ``(N, M)`` solution ``xt`` has non-finite systems.
+
+    One axis-0 sum screens all systems; the exact check runs only when
+    it is non-finite.  Same policy as :func:`repro.core.gtsv.singular_policy`:
+    ``check=True`` raises :class:`SingularSystemError` naming the first
+    bad system and its first zero or non-finite pivot in the ``(N, M)``
+    ``pivots`` (row ``None`` without scalar pivots, or when none is
+    bad), ``check=False`` warns and leaves the rows.  ``kernel`` names
+    the elimination in the message (``"Thomas elimination"``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(xt.sum(axis=0)).all():
+            return
+    bad = np.flatnonzero(~np.isfinite(xt).all(axis=0))
+    if bad.size == 0:  # only the checksum overflowed
+        return
+    systems = bad + first_system
+    if not check:
+        warnings.warn(
+            f"{kernel} broke down in system(s) {describe_rows(systems)}; "
+            "their rows are left non-finite", RuntimeWarning, stacklevel=3,
+        )
+        return
+    row = None  # no scalar pivots, or overflow without a bad pivot
+    if pivots is not None:
+        col = pivots[:, bad[0]]
+        rows = np.flatnonzero((col == 0) | ~np.isfinite(col))
+        row = int(rows[0]) if rows.size else None
+    raise SingularSystemError(
+        f"{kernel} broke down in batch system {systems[0]}, row {row} "
+        f"(non-finite systems {describe_rows(systems)}): zero or non-finite pivot, "
+        f"and {kernel} does not pivot (pass check=False for non-finite output instead)",
+        systems=systems, row=row,
+    )
+
 
 #: ``np.result_type`` over mixed dtype tuples is surprisingly costly on
 #: the small-batch hot path; the handful of dtype combinations a

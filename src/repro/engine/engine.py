@@ -46,7 +46,6 @@ from repro.engine.prepared import (
     build_cyclic_factorization,
     build_factorization,
     coefficient_fingerprint,
-    factorization_nbytes,
 )
 from repro.engine.workspace import PlanWorkspace, PreparedWorkspace
 from repro.util.pools import executor_cap
@@ -367,14 +366,18 @@ class ExecutionEngine:
 
     def _store_factorization(self, key: tuple, fact, built: bool = True) -> None:
         with self._lock:
+            # two threads missing on one digest both build and store:
+            # the second entry replaces the first, and so do its bytes
+            replaced = self._facts.pop(key, None)
+            if replaced is not None:
+                self.stats.factorization_bytes -= replaced.nbytes
             self._facts[key] = fact
-            self._facts.move_to_end(key)
             if built:
                 self.stats.factorizations_built += 1
-            self.stats.factorization_bytes += factorization_nbytes(fact)
+            self.stats.factorization_bytes += fact.nbytes
             while len(self._facts) > self.max_factorizations:
                 _, old = self._facts.popitem(last=False)
-                self.stats.factorization_bytes -= factorization_nbytes(old)
+                self.stats.factorization_bytes -= old.nbytes
                 self.stats.factorization_evictions += 1
 
     def _factorization_for(

@@ -18,7 +18,8 @@ Every path is held **bitwise identical** to the reference
   The kernel pair :func:`factor_t` / :func:`solve_t`, shared by every
   prepared and session ``k = 0`` sweep, runs in place in the operation
   order of :func:`repro.core.thomas.thomas_solve_batch`, so results
-  match it bit for bit; :func:`thomas_breakdown` types non-finite
+  match it bit for bit;
+  :func:`~repro.core.validation.sweep_breakdown` types non-finite
   systems.
 * ``"lapack"`` plans (the host route for Table III's ``k > 0`` cells)
   hand the whole batch to one flattened ``?gtsv`` call
@@ -34,7 +35,6 @@ the plan *before* sharding, from the full ``M``.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from repro.core.hybrid import _FusedPThomas
 from repro.core.layout import transpose_into
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
-from repro.core.validation import SingularSystemError, describe_rows
+from repro.core.validation import sweep_breakdown
 
-__all__ = ["execute_plan", "factor_t", "shard_bounds", "solve_t", "thomas_breakdown"]
+__all__ = ["execute_plan", "factor_t", "shard_bounds", "solve_t"]
 
 
 def shard_bounds(m: int, workers: int) -> list:
@@ -92,39 +92,6 @@ def solve_t(ta, cp, denom, dt, dp, xt, t1, t2) -> None:
         np.subtract(dp_i, t1, out=x_i)
 
 
-def thomas_breakdown(xt, denom, *, check: bool, first_system: int = 0) -> None:
-    """Raise or warn if the ``(N, M)`` solution ``xt`` has non-finite systems.
-
-    One axis-0 sum screens all systems; the exact check runs only when
-    it is non-finite.  Same policy as :func:`repro.core.gtsv.singular_policy`:
-    ``check=True`` raises :class:`SingularSystemError` naming the first
-    bad system and its first zero or non-finite pivot in ``denom``,
-    ``check=False`` warns and leaves the rows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(xt.sum(axis=0)).all():
-            return
-    bad = np.flatnonzero(~np.isfinite(xt).all(axis=0))
-    if bad.size == 0:  # only the checksum overflowed
-        return
-    systems = bad + first_system
-    if not check:
-        warnings.warn(
-            f"Thomas elimination broke down in system(s) {describe_rows(systems)}; "
-            "their rows are left non-finite", RuntimeWarning, stacklevel=3,
-        )
-        return
-    pivots = denom[:, bad[0]]
-    rows = np.flatnonzero((pivots == 0) | ~np.isfinite(pivots))
-    row = int(rows[0]) if rows.size else None  # None: overflow, no bad pivot
-    raise SingularSystemError(
-        f"Thomas elimination broke down in batch system {systems[0]}, row {row} "
-        f"(non-finite systems {describe_rows(systems)}): zero or non-finite pivot, and "
-        "the k = 0 route does not pivot (pass check=False for non-finite output instead)",
-        systems=systems, row=row,
-    )
-
-
 def execute_plan(
     plan,
     ws,
@@ -149,7 +116,7 @@ def execute_plan(
     wall-time hook behind :class:`~repro.backends.trace.SolveTrace`.
     ``check`` / ``first_system`` set the breakdown policy — the
     singular-system policy of ``"lapack"`` plans, the
-    :func:`thomas_breakdown` guard of ``k = 0`` plans — and the
+    :func:`~repro.core.validation.sweep_breakdown` guard of ``k = 0`` plans — and the
     batch-row numbering it reports (a shard passes its first row).
     """
     if not ws.fits(plan):
@@ -170,7 +137,9 @@ def execute_plan(
             transpose_into(dst, src)
         factor_t(ta, tb, tc, tc, tb, ws.t1)
         solve_t(ta, tc, tb, td, td, td, ws.t1, ws.t2)
-        thomas_breakdown(td, tb, check=check, first_system=first_system)
+        sweep_breakdown(
+            "Thomas elimination", td, tb, check=check, first_system=first_system
+        )
         x = transpose_into(np.empty(b.shape, b.dtype) if out is None else out, td)
         if stage_times is not None:
             stage_times.append(

@@ -1,33 +1,44 @@
 """Prepared solves: factor once, stream right-hand sides.
 
 The paper's motivating workloads (ADI, Crank–Nicolson, multigrid
-smoothing) solve the *same* tridiagonal matrix against a fresh
-right-hand side every time step.  :mod:`repro.core.factorize` supplies
-the factor/solve split; this module wires it through the engine:
+smoothing) solve the *same* matrix against a fresh right-hand side
+every time step.  This module wires the factor/solve split through the
+engine:
 
 * :func:`coefficient_fingerprint` — a cheap content hash over the
-  ``(dl, d, du)`` views.  The engine fingerprints incoming
-  coefficients (opt-out via ``fingerprint=False``) and keys a
-  factorization cache on the digest, so a time-stepping loop written
-  as plain repeated ``solve_batch`` calls silently stops
-  re-eliminating after its first few steps.
-* :class:`ThomasRhsFactorization` — the ``k = 0`` factorization in the
-  engine's transposed ``(N, M)`` layout.  Its forward sweep stores the
-  *denominator* (not its reciprocal) and the RHS sweep divides by it:
-  both halves are the executor's own ``factor_t`` / ``solve_t`` kernels,
-  so prepared ``k = 0`` solves are **bitwise identical** to unprepared
-  ones.  The ``"lapack"`` route's
-  :class:`~repro.core.gtsv.GttrfFactorization` is exact the same way
-  (``?gttrs`` replays ``?gtsv``).  This is why only those plans
-  auto-engage the fingerprint fast path; ``k > 0`` hybrid factorizations
-  (:class:`~repro.core.factorize.HybridFactorization`) reuse stored
-  reciprocals and are "only" allclose, so they require an explicit
-  opt-in (``fingerprint=True`` or a :class:`PreparedPlan` handle).
-* :class:`PreparedPlan` — the explicit handle
-  (``repro.prepare(a, b, c)``) for callers who know their matrix is
-  fixed: holds the plan + factorization, executes RHS-only sweeps into
-  pooled :class:`~repro.engine.workspace.PreparedWorkspace` buffers,
-  optionally sharded across the engine's thread pool.
+  coefficient views.  The engine fingerprints incoming coefficients
+  (opt-out via ``fingerprint=False``) and keys a factorization cache on
+  the digest, so a time-stepping loop written as plain repeated
+  ``solve_batch`` calls silently stops re-eliminating after its first
+  few steps.
+* **One factorization protocol.**  Every stored kind —
+  :class:`ThomasRhsFactorization` (``k = 0``),
+  :class:`~repro.core.gtsv.GttrfFactorization` (``"lapack"``),
+  :class:`~repro.core.factorize.HybridFactorization` (``k > 0``),
+  :class:`CyclicRhsFactorization` (periodic, around any of those
+  three), :class:`~repro.core.pentadiag.PentaFactorization` and
+  :class:`~repro.core.blocktridiag.BlockThomasFactorization` — offers
+  ``solve_shard(ws, d, out, lo, hi)`` (the RHS-only sweep of batch rows
+  ``[lo, hi)`` against a pooled
+  :class:`~repro.engine.workspace.PreparedWorkspace`, which kinds that
+  need no scratch ignore), ``nbytes`` (the engine's factorization
+  ledger) and ``breakdown(ws, x, *, check)``: called with ``x=None``
+  before a sweep it enforces the factor-time state (LAPACK zero pivots,
+  cyclic singular corrections); called with the swept solution it
+  types non-finite systems.  :func:`rhs_only_sweep` is the one checked
+  sweep; session ``step`` runs the bare shards.
+* Exactness: the Thomas kind stores the *denominators* and sweeps with
+  the executor's own ``factor_t`` / ``solve_t`` kernels, ``?gttrs``
+  replays ``?gtsv``, and the penta and block cold paths are literally
+  factor + sweep, so those kinds (and cyclic ones around the first two)
+  reproduce unprepared solves bit for bit — which is why their plans
+  auto-engage the fingerprint fast path.  Hybrid factorizations
+  reuse stored reciprocals and are "only" allclose, so they require an
+  explicit opt-in (``fingerprint=True``, an ``rtol`` license or a
+  :class:`PreparedPlan` handle).
+* :class:`PreparedPlan` — the explicit handle (``repro.prepare(a, b,
+  c)``, ``periodic=True`` for cyclic systems) for callers who know
+  their matrix is fixed: a thin wrapper over bound sessions.
 
 Sharding the RHS-only phase is bitwise-safe for the same reason full
 solves are (:mod:`repro.engine.executor`): every operation is
@@ -42,16 +53,25 @@ import time
 
 import numpy as np
 
-from repro.core.factorize import HybridFactorization, ThomasFactorization
+from repro.core.factorize import HybridFactorization
 from repro.core.gtsv import GttrfFactorization
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+    refuse_singular_correction,
+    singular_rows,
+)
 from repro.core.validation import (
     check_batch_arrays,
     check_cyclic_batch_arrays,
     coerce_batch_arrays,
     coerce_cyclic_batch_arrays,
+    sweep_breakdown,
 )
 from repro.core.layout import transpose_into
-from repro.engine.executor import factor_t, shard_bounds, solve_t, thomas_breakdown
+from repro.engine.executor import factor_t, solve_t
 
 __all__ = [
     "CyclicRhsFactorization",
@@ -60,8 +80,6 @@ __all__ = [
     "ThomasRhsFactorization",
     "build_cyclic_factorization",
     "coefficient_fingerprint",
-    "cyclic_rhs_only_sweep",
-    "factorization_nbytes",
     "prepare",
     "rhs_only_sweep",
     "rtol_permits_hybrid_reuse",
@@ -220,6 +238,14 @@ class ThomasRhsFactorization:
         factor_t(ta, denom, cp, cp, denom, np.empty(m, dtype=b.dtype))
         return cls(ta=ta, cp=cp, denom=denom)
 
+    def breakdown(self, ws, x, *, check: bool) -> None:
+        """The breakdown hook: nothing to enforce before a sweep
+        (``x is None``); after one, a non-finite system of ``x`` raises
+        :class:`~repro.core.validation.SingularSystemError` naming its
+        first zero or non-finite pivot (warns under ``check=False``)."""
+        if x is not None:
+            sweep_breakdown("Thomas elimination", x.T, self.denom, check=check)
+
     def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """RHS-only sweep for batch rows ``[lo, hi)`` of ``d`` into ``out``.
 
@@ -248,18 +274,6 @@ class ThomasRhsFactorization:
         )
 
 
-def factorization_nbytes(fact) -> int:
-    """Bytes of stored factorization state (for the engine's ledger)."""
-    nbytes = getattr(fact, "nbytes", None)
-    if nbytes is not None:  # Thomas / cyclic / penta / block kinds
-        return nbytes
-    nb = sum(k1.nbytes + k2.nbytes for k1, k2 in fact.level_factors)
-    red = fact.reduced
-    if red is not None:
-        nb += red.a.nbytes + red.cp.nbytes + red.inv_denom.nbytes
-    return nb
-
-
 def build_factorization(plan, a, b, c):
     """Factor coefficients for ``plan``'s kernel family."""
     if plan.uses_thomas:
@@ -269,124 +283,60 @@ def build_factorization(plan, a, b, c):
     return HybridFactorization.factor(a, b, c, k=plan.k, check=False)
 
 
-def _shard_hybrid(fact: HybridFactorization, lo: int, hi: int):
-    """A zero-copy view of rows ``[lo, hi)`` of a hybrid factorization.
-
-    Level factors slice along the batch axis; the reduced interleaved
-    system's rows for batch row ``i`` are ``[i·g, (i+1)·g)``, so the
-    view's reduced factorization is the contiguous row block
-    ``[lo·g, hi·g)``.  Elementwise along ``M`` throughout → the shard
-    produces the exact bits the full solve would.
-    """
-    g = 1 << fact.k
-    red = fact.reduced
-    return HybridFactorization(
-        k=fact.k,
-        level_factors=[(k1[lo:hi], k2[lo:hi]) for k1, k2 in fact.level_factors],
-        reduced=ThomasFactorization(
-            a=red.a[lo * g : hi * g],
-            cp=red.cp[lo * g : hi * g],
-            inv_denom=red.inv_denom[lo * g : hi * g],
-        ),
-    )
-
-
 def for_shards(engine, shards, fn) -> None:
-    """Call ``fn(index, lo, hi)`` for each ``(lo, hi)`` row shard.
+    """Call ``fn(lo, hi)`` for each ``(lo, hi)`` row shard.
 
     One shard runs inline; several run concurrently on the engine's
     persistent thread pool (shards write disjoint rows of one output).
     """
     if len(shards) == 1:
-        fn(0, *shards[0])
+        fn(*shards[0])
         return
     pool = engine.thread_pool(len(shards))
-    list(pool.map(lambda job: fn(job[0], *job[1]), enumerate(shards)))
+    list(pool.map(lambda shard: fn(*shard), shards))
 
 
-def sweep_factorization(engine, plan, fact, ws, d, out, shards) -> None:
-    """RHS-only sweep of ``fact`` into ``out``, one call per row shard.
+def rhs_only_sweep(engine, plan, fact, d, out, shards, *, check: bool) -> float:
+    """The checked RHS-only sweep of ``fact`` into ``out``.
 
-    ``ws`` is a :class:`~repro.engine.workspace.PreparedWorkspace` of
-    ``plan``; shards share it (column slices for Thomas, one scratch
-    dict per shard for the hybrid, nothing for LAPACK).
+    The kind's breakdown hook on its factor-time state, one
+    ``solve_shard`` per ``(lo, hi)`` row shard against a
+    :class:`~repro.engine.workspace.PreparedWorkspace` checked out of
+    the engine's pool (none for banded plans: the penta and block kinds
+    need no scratch), then the hook on the solution.  ``d`` must be a
+    contiguous array of the plan's dtype.  Returns the seconds a cyclic
+    kind's first shard spent on its rank-one correction (0.0 for the
+    other kinds).
     """
-    if plan.algorithm == "lapack":
-        for_shards(
-            engine, shards, lambda i, lo, hi: fact.solve_shard(d, out, lo, hi)
-        )
-    elif plan.uses_thomas:
-        for_shards(
-            engine, shards,
-            lambda i, lo, hi: fact.solve_shard(ws, d, out, lo, hi),
-        )
-    else:
-        for_shards(
-            engine, shards,
-            lambda i, lo, hi: _shard_hybrid(fact, lo, hi).solve(
-                d[lo:hi], out=out[lo:hi], scratch=ws.scratch_for(i, (lo, hi))
-            ),
-        )
-
-
-def rhs_only_sweep(
-    engine,
-    plan,
-    fact,
-    d,
-    *,
-    out: np.ndarray | None = None,
-    workers: int | None = None,
-    stage_times: list | None = None,
-    check: bool = True,
-) -> np.ndarray:
-    """Run the RHS-only sweep of ``fact`` under ``plan``'s engine state.
-
-    Checks a :class:`~repro.engine.workspace.PreparedWorkspace` out of
-    the engine's pool, optionally shards the batch axis across the
-    engine's thread pool, and returns the solution.  ``d`` must be a
-    contiguous ``(M, N)`` array of the plan's dtype.  ``check`` is the
-    breakdown policy (raise, or warn and leave NaN rows): the
-    singular-system policy of a ``"lapack"`` factorization, the
-    :func:`~repro.engine.executor.thomas_breakdown` guard of a ``k = 0``
-    one.
-    """
-    m, n = plan.m, plan.n
-    if out is None:
-        out = np.empty((m, n), dtype=plan.dtype)
-    shards = shard_bounds(m, workers) if workers and workers > 1 else [(0, m)]
-    if plan.algorithm == "lapack":
-        fact.enforce(check=check)
-    ws = engine.checkout_prepared(plan)
-    t0 = time.perf_counter()
+    fact.breakdown(None, None, check=check)
+    ws = None if plan.system else engine.checkout_prepared(plan)
     try:
-        sweep_factorization(engine, plan, fact, ws, d, out, shards)
+        if ws is not None:
+            ws.correction_s = 0.0
+        for_shards(engine, shards, lambda lo, hi: fact.solve_shard(ws, d, out, lo, hi))
+        fact.breakdown(ws, out, check=check)
+        return 0.0 if ws is None else ws.correction_s
     finally:
-        engine.checkin_prepared(plan, ws)
-    if plan.uses_thomas:
-        thomas_breakdown(out.T, fact.denom, check=check)
-    if stage_times is not None:
-        tag = f" [{len(shards)} shards]" if len(shards) > 1 else ""
-        stage_times.append(
-            (f"rhs-only {plan.algorithm}{tag}", time.perf_counter() - t0)
-        )
-    return out
+        if ws is not None:
+            engine.checkin_prepared(plan, ws)
 
 
 class CyclicRhsFactorization:
     """Engine-layer cyclic factorization: corner-reduced core + correction.
 
-    The engine sibling of
-    :class:`~repro.core.factorize.CyclicFactorization`: the core ``A'``
-    factorization is an engine RHS-only factorization
-    (:class:`ThomasRhsFactorization` at ``k = 0`` — transposed layout,
-    stored denominators, bitwise-identical sweeps — or
+    The core ``A'`` factorization is any tridiagonal kind
+    (:class:`ThomasRhsFactorization` at ``k = 0``,
+    :class:`~repro.core.gtsv.GttrfFactorization` on the LAPACK route,
     :class:`~repro.core.factorize.HybridFactorization` above), and the
     Sherman–Morrison state (``q``, ``w = a_0/γ``, the precomputed
     ``1/(1 + vᵀq)`` scale) is stored alongside.  A cyclic solve against
     a cached instance is **one** core RHS-only sweep plus a vectorized
     rank-one update — versus the two full eliminations the unprepared
     path pays.
+
+    ``singular`` records the batch rows whose correction denominator
+    vanished at factor time; the breakdown hook refuses them under
+    ``check=True``.
     """
 
     __slots__ = ("core", "q", "w", "scale", "singular", "nbytes")
@@ -397,10 +347,35 @@ class CyclicRhsFactorization:
         self.w = w
         self.scale = scale
         self.singular = singular
-        self.nbytes = (
-            factorization_nbytes(core)
-            + q.nbytes + w.nbytes + scale.nbytes
-        )
+        self.nbytes = core.nbytes + q.nbytes + w.nbytes + scale.nbytes
+
+    def breakdown(self, ws, x, *, check: bool) -> None:
+        """The breakdown hook: before a sweep (``x is None``) the
+        singular corrections (under ``check=True``) and the core's
+        factor-time state; after one, the core's check on the
+        intermediate ``y`` in ``ws``."""
+        if x is None:
+            if check:
+                refuse_singular_correction(self.singular)
+            self.core.breakdown(ws, None, check=check)
+        else:
+            self.core.breakdown(ws, ws.cyclic_y(), check=check)
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
+        """Core sweep of rows ``[lo, hi)`` into ``ws.cyclic_y()``, then
+        their rank-one correction into ``out``.
+
+        The correction is per row, so a sharded sweep is bitwise the
+        whole-batch one.  The first shard times its correction into
+        ``ws.correction_s``.
+        """
+        y = ws.cyclic_y()
+        self.core.solve_shard(ws, d, y, lo, hi)
+        t0 = time.perf_counter()
+        s = slice(lo, hi)
+        apply_cyclic_correction(y[s], self.q[s], self.w[s], self.scale[s], out=out[s])
+        if lo == 0:
+            ws.correction_s = time.perf_counter() - t0
 
 
 def build_cyclic_factorization(
@@ -409,70 +384,22 @@ def build_cyclic_factorization(
     """Corner-reduce + factor a cyclic coefficient set under ``plan``.
 
     The correction column ``q`` is solved through the freshly built
-    core factorization's own RHS-only sweep, so the stored ``q`` is
-    bitwise identical to what an unprepared engine solve of
+    core factorization's own checked RHS-only sweep, so the stored
+    ``q`` is bitwise identical to what an unprepared engine solve of
     ``A' q = u`` would produce — which is what keeps the prepared
     cyclic path bitwise-equal to re-elimination at ``k = 0``.
     ``check`` sets the singular-correction policy (raise vs warn+NaN).
     """
-    from repro.core.periodic import (
-        correction_denominator,
-        correction_scale,
-        cyclic_reduce,
-        singular_rows,
-    )
-
     ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
     core = build_factorization(plan, ap, bp, cp)
-    q = rhs_only_sweep(engine, plan, core, u, check=check)
+    q = np.empty((plan.m, plan.n), dtype=plan.dtype)
+    rhs_only_sweep(engine, plan, core, u, q, [(0, plan.m)], check=check)
     denom = correction_denominator(q, w)
     scale = correction_scale(denom, plan.n, check=check)
     return CyclicRhsFactorization(
         core=core, q=q, w=w, scale=scale,
         singular=singular_rows(denom, plan.n),
     )
-
-
-def cyclic_rhs_only_sweep(
-    engine,
-    plan,
-    fact: CyclicRhsFactorization,
-    d,
-    *,
-    out: np.ndarray | None = None,
-    workers: int | None = None,
-    check: bool = True,
-    stage_times: list | None = None,
-) -> np.ndarray:
-    """One cyclic solve against a stored :class:`CyclicRhsFactorization`.
-
-    Runs the core RHS-only sweep (optionally sharded, same bitwise
-    argument as :func:`rhs_only_sweep`) into a pooled workspace
-    buffer, then applies the precomputed rank-one correction.  The
-    returned array never aliases pooled workspace memory.
-    """
-    if check:
-        from repro.core.periodic import refuse_singular_correction
-
-        refuse_singular_correction(fact.singular)
-    from repro.core.periodic import apply_cyclic_correction
-
-    ws = engine.checkout_prepared(plan)
-    try:
-        y = rhs_only_sweep(
-            engine, plan, fact.core, d,
-            out=ws.cyclic_y(), workers=workers, stage_times=stage_times,
-            check=check,
-        )
-        t0 = time.perf_counter()
-        if out is None:
-            out = np.empty((plan.m, plan.n), dtype=plan.dtype)
-        x = apply_cyclic_correction(y, fact.q, fact.w, fact.scale, out=out)
-    finally:
-        engine.checkin_prepared(plan, ws)
-    if stage_times is not None:
-        stage_times.append(("cyclic-correction", time.perf_counter() - t0))
-    return x
 
 
 class PreparedPlan:
@@ -526,7 +453,7 @@ class PreparedPlan:
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored factorization."""
-        return factorization_nbytes(self.factorization)
+        return self.factorization.nbytes
 
     def describe(self) -> dict:
         """Plan summary plus factorization provenance."""

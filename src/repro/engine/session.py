@@ -24,6 +24,14 @@ workloads — ADI, Crank–Nicolson — are exactly this shape).
   pre-existing dispatch route flows through this module bitwise
   unchanged.
 
+A session that holds a factorization — tridiagonal, cyclic,
+pentadiagonal or block, served from the cache, a prepared handle, or
+built at bind — sweeps it through the one protocol of
+:mod:`repro.engine.prepared` (``solve_shard`` per row shard, the
+``breakdown`` hook); what differs between kinds (the stage label,
+whether the sweep counts as RHS-only, the trace's system fields) is
+data fixed at bind time.  Sessions without one run the full plan.
+
 ``transient=True`` reproduces the one-shot lifecycle exactly (the
 fingerprint two-sighting ledger, ``force`` only on explicit
 ``fingerprint=True``).  A persistent bind declares reuse intent: when
@@ -42,15 +50,21 @@ import numpy as np
 
 from repro.core.hybrid import HybridReport
 from repro.core.layout import transpose_into
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+)
 from repro.core.tiled_pcr import TilingCounters
 from repro.engine.executor import shard_bounds
 from repro.engine.prepared import (
+    CyclicRhsFactorization,
+    ThomasRhsFactorization,
     coefficient_fingerprint,
-    cyclic_rhs_only_sweep,
     for_shards,
     rhs_only_sweep,
     rtol_permits_hybrid_reuse,
-    sweep_factorization,
 )
 
 __all__ = ["BoundSolve"]
@@ -68,18 +82,17 @@ class BoundSolve:
     The session's execution **mode** is resolved at bind time:
 
     ``"rhs"``
-        Plain tridiagonal served by a factorization — an explicit
-        prepared handle or a fingerprint-cache entry.
-    ``"cyclic"``
-        Periodic tridiagonal served by a stored
-        :class:`~repro.engine.prepared.CyclicRhsFactorization`.
-    ``"banded"``
-        Pentadiagonal / block-tridiagonal Thomas sweep.
+        A stored factorization of any kind — plain, cyclic,
+        pentadiagonal or block — swept each step: an explicit prepared
+        handle, a fingerprint-cache entry, or (banded systems the cache
+        does not serve) one factored at bind.
     ``"full"``
         Plain tridiagonal running the full hybrid plan each step
         (fingerprinting off or not licensed).
     ``"full-cyclic"``
-        Periodic corner-reduce + two inner solves each step.
+        Periodic tridiagonal running the full plan on the corner-reduced
+        core each step, plus the correction; the reduction and the
+        correction column ``q`` are computed once, at bind.
     """
 
     def __init__(self, engine, request, *, transient: bool = False):
@@ -93,12 +106,6 @@ class BoundSolve:
         self._out = None
         self._out_t = None
         self._cyc = None
-        system = getattr(request, "system", None)
-        self._banded = system is not None and system.kind != "tridiagonal"
-        if self._banded:
-            self._bind_banded(request)
-        else:
-            self._bind_tridiagonal(request)
         workers = request.workers
         #: row shards every step runs over (one shard: unsharded)
         self._shards = (
@@ -106,11 +113,33 @@ class BoundSolve:
             if workers is not None and workers > 1
             else [(0, request.m)]
         )
+        system = getattr(request, "system", None)
+        if system is not None and system.kind != "tridiagonal":
+            self._bind_banded(request)
+        else:
+            self._bind_tridiagonal(request)
         self._dtype = self.plan.dtype
-        if self._banded and request.system.kind == "block":
+        if self._system == "block":
             self._dshape = (request.m, request.n, request.system.block_size)
         else:
             self._dshape = (request.m, request.n)
+        fact = self.fact
+        self.mode = (
+            "rhs" if fact is not None
+            else "full-cyclic" if self._cyc is not None
+            else "full"
+        )
+        #: step_t runs the transposed Thomas sweep without staging copies
+        self._transposed = isinstance(fact, ThomasRhsFactorization)
+        if fact is not None:
+            name = self.plan.system or self.plan.algorithm
+            shards = len(self._shards)
+            tag = f" [{shards} shards]" if shards > 1 else ""
+            sweep = "rhs-only" if self._served else "sweep"
+            #: stage names of one instrumented sweep
+            self._stages = (f"{sweep} {name}{tag}",)
+            if isinstance(fact, CyclicRhsFactorization):
+                self._stages += ("cyclic-correction",)
 
     # ---- bind phase --------------------------------------------------
     def _resolve_plan(self, request, *, system_tag: str = ""):
@@ -152,13 +181,16 @@ class BoundSolve:
     def _bind_tridiagonal(self, request) -> None:
         plan = self._resolve_plan(request)
         fingerprint = request.fingerprint
+        self._system = "tridiagonal"
+        #: the tridiagonal path counts any workers > 1 as sharded
+        self._sharded_stat = request.workers is not None and request.workers > 1
 
         if request.rhs_only:
             # prepared handle: the factorization rode in on the request
             self.fact = request.factorization
             self.fp_state = "handle"
-            self.mode = "cyclic" if request.periodic else "rhs"
             self.count_solves = False
+            self._served = True
             self._report_plain = False
             return
 
@@ -188,23 +220,45 @@ class BoundSolve:
             )
         self.fact = fact
         self.fp_state = fp_state
-        if request.periodic:
-            self.mode = "cyclic" if fact is not None else "full-cyclic"
-            self._report_plain = False
-        else:
-            self.mode = "rhs" if fact is not None else "full"
-            self._report_plain = True
         self.count_solves = True
+        self._served = fact is not None
+        # the fingerprint cache serving a *plain* batch request: the
+        # one-shot path still publishes a (zero-counter) report
+        self._report_plain = self._served and not request.periodic
+        if fact is None and request.periodic:
+            self._bind_cyclic_state(request)
+
+    def _bind_cyclic_state(self, request) -> None:
+        """Corner-reduce and solve the correction column ``q`` once.
+
+        Both depend only on the bound coefficients; every step (and
+        every instrumented step, whose stages replay these bind stages)
+        reuses them.
+        """
+        t0 = time.perf_counter()
+        ap, bp, cp, u, w = cyclic_reduce(
+            request.a, request.b, request.c, check=request.check
+        )
+        self.bind_stages.append(("cyclic-reduce", time.perf_counter() - t0))
+        q = self.engine._execute_full(
+            self.plan, ap, bp, cp, u,
+            workers=request.workers, stage_times=self.bind_stages,
+            check=request.check,
+        )
+        scale = correction_scale(
+            correction_denominator(q, w), request.n, check=request.check
+        )
+        self._cyc = (ap, bp, cp, w, q, scale)
 
     def _bind_banded(self, request) -> None:
         from repro.core.blocktridiag import BlockThomasFactorization
         from repro.core.pentadiag import PentaFactorization
 
-        kind = request.system.kind
-        tag = request.system.tag
-        plan = self._resolve_plan(request, system_tag=tag)
+        self._system = request.system.kind
+        plan = self._resolve_plan(request, system_tag=request.system.tag)
+        self._sharded_stat = len(self._shards) > 1
 
-        if kind == "pentadiagonal":
+        if self._system == "pentadiagonal":
             coeffs = (request.e, request.a, request.b, request.c, request.f)
 
             def builder():
@@ -231,7 +285,7 @@ class BoundSolve:
                 stage_times=self.bind_stages,
                 builder=builder,
             )
-        self._banded_served = fact is not None
+        self._served = fact is not None
         if fact is None:
             t_b = time.perf_counter()
             fact = builder()
@@ -240,11 +294,21 @@ class BoundSolve:
             )
         self.fact = fact
         self.fp_state = fp_state
-        self.mode = "banded"
         self.count_solves = True
         self._report_plain = False
-        self._kind = kind
-        self._tag = tag
+
+    def _report(self, counters) -> HybridReport:
+        request, plan = self.request, self.plan
+        return HybridReport(
+            m=request.m,
+            n=request.n,
+            k=plan.k,
+            k_source=plan.k_source,
+            subsystems=request.m * plan.g,
+            fused=plan.fuse,
+            n_windows=plan.n_windows,
+            tiling=counters,
+        )
 
     # ---- instrumented execution --------------------------------------
     def step_once(self, d=None, out=None):
@@ -255,7 +319,8 @@ class BoundSolve:
         records (bind stages included), the exact
         :class:`~repro.backends.trace.SolveTrace` schema — returned as
         a :class:`~repro.backends.request.SolveOutcome`.  ``d`` / ``out``
-        default to the bound request's arrays.
+        default to the bound request's arrays.  Checked: the
+        factorization's breakdown hook runs before and after its sweep.
         """
         from repro.backends.request import SolveOutcome
         from repro.backends.trace import SolveTrace, StageTiming
@@ -270,93 +335,33 @@ class BoundSolve:
         workers = request.workers
         stage_times = list(self.bind_stages)
 
-        if self.mode == "banded":
-            return self._step_once_banded(d, out, stage_times)
-
-        if self.mode in ("rhs", "cyclic"):
-            fact = self.fact
-            if self.mode == "cyclic":
-                x = cyclic_rhs_only_sweep(
-                    engine, plan, fact, d,
-                    out=out, workers=workers, check=request.check,
-                    stage_times=stage_times,
-                )
-            else:
-                x = rhs_only_sweep(
-                    engine, plan, fact, d,
-                    out=out, workers=workers,
-                    stage_times=stage_times, check=request.check,
-                )
+        if self.fact is not None:
+            if out is None:
+                out = np.empty(self._dshape, dtype=self._dtype)
+            t0 = time.perf_counter()
+            correction_s = rhs_only_sweep(
+                engine, plan, self.fact, d, out, self._shards,
+                check=request.check,
+            )
+            sweep_s = time.perf_counter() - t0 - correction_s
+            sweep, *correction = self._stages
+            stage_times.append((sweep, sweep_s))
+            stage_times.extend((name, correction_s) for name in correction)
             with engine._lock:
                 if self.count_solves:
                     engine.stats.solves += 1
-                engine.stats.rhs_only_solves += 1
-                if workers is not None and workers > 1:
+                if self._served:
+                    engine.stats.rhs_only_solves += 1
+                if self._sharded_stat:
                     engine.stats.sharded_solves += 1
-            kept = fact
-        elif self.mode == "full":
+            if self._report_plain:
+                engine.last_report = self._report(TilingCounters())
+            x = out
+        else:
             counters = TilingCounters()
-            report = HybridReport(
-                m=request.m,
-                n=request.n,
-                k=plan.k,
-                k_source=plan.k_source,
-                subsystems=request.m * plan.g,
-                fused=plan.fuse,
-                n_windows=plan.n_windows,
-                tiling=counters,
-            )
-            x = engine._execute_full(
-                plan, request.a, request.b, request.c, d,
-                workers=workers, counters=counters, out=out,
-                stage_times=stage_times, check=request.check,
-            )
-            engine.last_report = report
-            kept = None
-        else:  # full-cyclic: corner-reduce + two inner solves + correction
-            from repro.core.periodic import (
-                apply_cyclic_correction,
-                correction_denominator,
-                correction_scale,
-                cyclic_reduce,
-            )
-
-            t0 = time.perf_counter()
-            ap, bp, cp, u, w = cyclic_reduce(
-                request.a, request.b, request.c, check=request.check
-            )
-            stage_times.append(("cyclic-reduce", time.perf_counter() - t0))
-            y = engine._execute_full(
-                plan, ap, bp, cp, d,
-                workers=workers, stage_times=stage_times, check=request.check,
-            )
-            q = engine._execute_full(
-                plan, ap, bp, cp, u,
-                workers=workers, stage_times=stage_times, check=request.check,
-            )
-            t1 = time.perf_counter()
-            scale = correction_scale(
-                correction_denominator(q, w), request.n, check=request.check
-            )
-            x = apply_cyclic_correction(y, q, w, scale, out=out)
-            stage_times.append(
-                ("cyclic-correction", time.perf_counter() - t1)
-            )
-            kept = None
-
-        if self._report_plain and self.mode == "rhs" and self.count_solves:
-            # the fingerprint cache served a *plain* batch request: the
-            # one-shot path still publishes a (zero-counter) report
-            engine.last_report = HybridReport(
-                m=request.m,
-                n=request.n,
-                k=plan.k,
-                k_source=plan.k_source,
-                subsystems=request.m * plan.g,
-                fused=plan.fuse,
-                n_windows=plan.n_windows,
-                tiling=TilingCounters(),
-            )
+            x = self._solve_full(d, out, stage_times, counters)
+            if self._cyc is None:
+                engine.last_report = self._report(counters)
 
         trace = SolveTrace(
             backend=request.label or "engine",
@@ -370,63 +375,38 @@ class BoundSolve:
             workers=workers if workers is not None else 1,
             plan_cache=self.cache,
             factorization=self.fp_state,
-            rhs_only=self.mode in ("rhs", "cyclic"),
+            rhs_only=self._served,
             periodic=request.periodic,
+            system=self._system,
             stages=[StageTiming(n_, s) for n_, s in stage_times],
         )
         trace.decision = request.decision
         self.steps += 1
+        kept = self.fact if self._served else None
         return SolveOutcome(x=x, trace=trace, factorization=kept, plan=plan)
 
-    def _step_once_banded(self, d, out, stage_times):
-        from repro.backends.request import SolveOutcome
-        from repro.backends.trace import SolveTrace, StageTiming
-
-        engine = self.engine
+    def _solve_full(self, d, out, stage_times=None, counters=None):
+        """The full plan against the bound coefficients; a cyclic
+        session solves the corner-reduced core and applies the
+        bind-time correction."""
         request = self.request
-        plan = self.plan
-        fact = self.fact
-        workers = request.workers
-        served = self._banded_served
-
-        t_s = time.perf_counter()
-        if out is None:
-            out = np.empty_like(d)
-        shards = self._shards
-        for_shards(
-            engine, shards, lambda i, lo, hi: fact.solve_shard(d, out, lo, hi)
+        if self._cyc is None:
+            return self.engine._execute_full(
+                self.plan, request.a, request.b, request.c, d,
+                workers=request.workers, counters=counters, out=out,
+                stage_times=stage_times, check=request.check,
+            )
+        ap, bp, cp, w, q, scale = self._cyc
+        y = self.engine._execute_full(
+            self.plan, ap, bp, cp, d,
+            workers=request.workers, stage_times=stage_times,
+            check=request.check,
         )
-        sweep = "rhs-only" if served else "sweep"
-        shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
-        stage_times.append(
-            (f"{sweep} {self._tag}{shard_note}", time.perf_counter() - t_s)
-        )
-        with engine._lock:
-            engine.stats.solves += 1
-            if served:
-                engine.stats.rhs_only_solves += 1
-            if len(shards) > 1:
-                engine.stats.sharded_solves += 1
-
-        trace = SolveTrace(
-            backend=request.label or "engine",
-            m=request.m,
-            n=request.n,
-            dtype=request.dtype,
-            k=plan.k,
-            k_source=plan.k_source,
-            workers=workers if workers is not None else 1,
-            plan_cache=self.cache,
-            factorization=self.fp_state,
-            rhs_only=served,
-            periodic=False,
-            system=self._kind,
-            stages=[StageTiming(n_, s) for n_, s in stage_times],
-        )
-        trace.decision = request.decision
-        kept = fact if self.fp_state in ("hit", "factored") else None
-        self.steps += 1
-        return SolveOutcome(x=out, trace=trace, factorization=kept, plan=plan)
+        t0 = time.perf_counter()
+        x = apply_cyclic_correction(y, q, w, scale, out=out)
+        if stage_times is not None:
+            stage_times.append(("cyclic-correction", time.perf_counter() - t0))
+        return x
 
     # ---- hot loop ----------------------------------------------------
     def _canon_d(self, d, shape, name="d"):
@@ -442,47 +422,11 @@ class BoundSolve:
         return d
 
     def _workspace(self):
-        if self._ws is None:
+        """The session-held prepared workspace (``None`` for banded
+        plans: the penta and block kinds sweep without one)."""
+        if self._ws is None and not self.plan.system:
             self._ws = self.engine.checkout_prepared(self.plan)
         return self._ws
-
-    def _sweep(self, fact, d, out):
-        """Direct RHS-only sweep through the session-held workspace."""
-        if self.plan.algorithm == "lapack":
-            fact.enforce(check=self.request.check)
-        sweep_factorization(
-            self.engine, self.plan, fact, self._workspace(), d, out,
-            self._shards,
-        )
-        return out
-
-    def _cyclic_state(self):
-        """Reduced cyclic state, computed once per session.
-
-        ``cyclic_reduce`` and the correction column depend only on the
-        bound coefficients, so recomputing them per step would produce
-        the same bits — caching is free of bitwise risk.
-        """
-        if self._cyc is None:
-            from repro.core.periodic import (
-                correction_denominator,
-                correction_scale,
-                cyclic_reduce,
-            )
-
-            request = self.request
-            ap, bp, cp, u, w = cyclic_reduce(
-                request.a, request.b, request.c, check=request.check
-            )
-            q = self.engine._execute_full(
-                self.plan, ap, bp, cp, u,
-                workers=request.workers, check=request.check,
-            )
-            scale = correction_scale(
-                correction_denominator(q, w), request.n, check=request.check
-            )
-            self._cyc = (ap, bp, cp, w, q, scale)
-        return self._cyc
 
     def step(self, d, out=None):
         """The allocation-free per-step hot loop.
@@ -493,9 +437,11 @@ class BoundSolve:
         instrumentation belongs to :meth:`step_once`.  Bitwise identical
         to an independent one-shot solve of the same system wherever the
         one-shot path makes that promise (every ``k = 0`` route, all
-        banded routes).  Unchecked by design on the ``k = 0`` RHS-only
-        route: no breakdown guard, so a zero pivot leaves non-finite
-        rows silently; :meth:`step_once` is the checked path.
+        banded routes).  Unchecked by design: the factor-time state
+        (LAPACK zero pivots, singular cyclic corrections) is enforced,
+        but no breakdown guard runs on the solution, so a zero pivot
+        leaves non-finite rows silently; :meth:`step_once` is the
+        checked path.
         """
         if self.closed:
             raise RuntimeError("session is closed")
@@ -504,40 +450,16 @@ class BoundSolve:
             out = self._out
             if out is None:
                 out = self._out = np.empty(self._dshape, dtype=self._dtype)
-        mode = self.mode
-        if mode == "rhs":
-            self._sweep(self.fact, d, out)
-        elif mode == "banded":
-            fact = self.fact
+        fact = self.fact
+        if fact is not None:
+            fact.breakdown(None, None, check=self.request.check)
+            ws = self._workspace()
             for_shards(
                 self.engine, self._shards,
-                lambda i, lo, hi: fact.solve_shard(d, out, lo, hi),
+                lambda lo, hi: fact.solve_shard(ws, d, out, lo, hi),
             )
-        elif mode == "cyclic":
-            fact = self.fact
-            if self.request.check:
-                from repro.core.periodic import refuse_singular_correction
-
-                refuse_singular_correction(fact.singular)
-            from repro.core.periodic import apply_cyclic_correction
-
-            y = self._sweep(fact.core, d, self._workspace().cyclic_y())
-            apply_cyclic_correction(y, fact.q, fact.w, fact.scale, out=out)
-        elif mode == "full":
-            request = self.request
-            self.engine._execute_full(
-                self.plan, request.a, request.b, request.c, d,
-                workers=request.workers, out=out, check=request.check,
-            )
-        else:  # full-cyclic
-            from repro.core.periodic import apply_cyclic_correction
-
-            ap, bp, cp, w, q, scale = self._cyclic_state()
-            y = self.engine._execute_full(
-                self.plan, ap, bp, cp, d,
-                workers=self.request.workers, check=self.request.check,
-            )
-            apply_cyclic_correction(y, q, w, scale, out=out)
+        else:
+            self._solve_full(d, out)
         self.steps += 1
         return out
 
@@ -547,14 +469,16 @@ class BoundSolve:
         The Thomas RHS sweep runs in the transposed layout internally,
         so a session whose caller already holds the right-hand side as
         ``(N, M)`` — the natural orientation of an alternating-direction
-        sweep — can skip both staging transposes of :meth:`step`.  On
-        the ``rhs``/Thomas route this feeds
+        sweep — can skip both staging transposes of :meth:`step`.  A
+        session holding a
+        :class:`~repro.engine.prepared.ThomasRhsFactorization` feeds
         :meth:`~repro.engine.prepared.ThomasRhsFactorization.solve_shard_t`
         directly (bitwise identical to :meth:`step` on the transposed
         arrays: only copies are elided, never arithmetic); every other
-        mode runs :meth:`step` between two blocked transposes.  Unchecked,
-        like :meth:`step`.  ``out_t`` defaults to a session-owned buffer
-        reused across steps — copy it if you keep references.
+        session runs :meth:`step` between two blocked transposes.
+        Unchecked, like :meth:`step`.  ``out_t`` defaults to a
+        session-owned buffer reused across steps — copy it if you keep
+        references.
         """
         if self.closed:
             raise RuntimeError("session is closed")
@@ -568,12 +492,12 @@ class BoundSolve:
             out_t = self._out_t
             if out_t is None:
                 out_t = self._out_t = np.empty((n, m), dtype=self._dtype)
-        if self.mode == "rhs" and self.plan.uses_thomas:
+        if self._transposed:
             fact = self.fact
             ws = self._workspace()
             for_shards(
                 self.engine, self._shards,
-                lambda i, lo, hi: fact.solve_shard_t(ws, dt, out_t, lo, hi),
+                lambda lo, hi: fact.solve_shard_t(ws, dt, out_t, lo, hi),
             )
             self.steps += 1
             return out_t

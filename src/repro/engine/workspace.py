@@ -84,20 +84,25 @@ class PreparedWorkspace:
     """Scratch for one in-flight RHS-only prepared solve.
 
     The prepared path never touches coefficients, so this is the slim
-    sibling of :class:`PlanWorkspace`: for ``k = 0`` plans one
-    transposed RHS buffer the sweep runs in place over (the coefficient
-    triple lives in the factorization); for ``"lapack"`` plans nothing
-    (``?gttrs`` runs in place on the output); for ``k > 0`` plans a family of
-    named-buffer dicts that
+    sibling of :class:`PlanWorkspace`, handed to every stored
+    factorization's ``solve_shard(ws, d, out, lo, hi)``: for ``k = 0``
+    plans one transposed RHS buffer the sweep runs in place over (the
+    coefficient triple lives in the factorization); for ``"lapack"``
+    plans nothing (``?gttrs`` runs in place on the output); for ``k > 0``
+    plans a family of named-buffer dicts that
     :meth:`HybridFactorization.solve <repro.core.factorize.HybridFactorization.solve>`
     keys its ping-pong and regroup buffers into — one dict per shard,
-    so sharded solves share one workspace without aliasing.
+    so sharded solves share one workspace without aliasing.  Cyclic
+    sweeps add the intermediate ``y`` buffer (:meth:`cyclic_y`).
     """
 
     def __init__(self, plan):
         self.plan = plan
         m, n, dtype = plan.m, plan.n, plan.dtype
         self._cyclic_y = None
+        #: seconds the last cyclic sweep's first shard spent on its
+        #: rank-one correction (the ``cyclic-correction`` stage)
+        self.correction_s = 0.0
         if plan.uses_thomas:
             self.td = np.empty((n, m), dtype=dtype)
             self.t1, self.t2 = np.empty((2, m), dtype=dtype)
@@ -105,9 +110,9 @@ class PreparedWorkspace:
         else:
             self._scratch = {}  # stays empty for "lapack" plans
 
-    def scratch_for(self, shard: int, bounds: tuple) -> dict:
-        """The named-buffer dict for one shard (``k > 0`` plans only)."""
-        return self._scratch.setdefault((shard, bounds), {})
+    def scratch_for(self, lo: int, hi: int) -> dict:
+        """The named-buffer dict for shard ``[lo, hi)`` (``k > 0`` plans only)."""
+        return self._scratch.setdefault((lo, hi), {})
 
     def cyclic_y(self) -> np.ndarray:
         """The intermediate ``A' y = d`` buffer for prepared cyclic solves.

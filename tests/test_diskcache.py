@@ -118,3 +118,65 @@ def test_cache_filenames_are_digest_named():
 def test_disk_cache_rejects_bad_cap(tmp_path):
     with pytest.raises(ValueError, match="max_bytes"):
         FactorizationDiskCache(tmp_path, max_bytes=0)
+
+
+#: The spill format: the ``_pack`` key names of every factorization
+#: kind.  Files already on disk use these names, so they are frozen.
+SPILL_KEYS = {
+    "thomas": ["kind", "ta", "cp", "denom"],
+    "gttrf": ["kind", "n", "dl", "d", "du", "du2", "ipiv", "zero_pivots"],
+    "hybrid": [
+        "kind", "k", "lvl0_k1", "lvl0_k2", "lvl1_k1", "lvl1_k2",
+        "red_a", "red_cp", "red_inv_denom",
+    ],
+    "cyclic": [
+        "kind", "q", "w", "scale", "singular",
+        "core_kind", "core_ta", "core_cp", "core_denom",
+    ],
+    "penta": ["kind", "te", "beta", "alpha", "gamma", "delta"],
+    "blockthomas": ["kind", "A", "Cp", "piv"],
+}
+
+
+def _spill_kind(kind):
+    """``(key, factorization, workspace, d)`` for one spilled kind."""
+    from repro.backends.request import SolveRequest
+    from repro.engine import PreparedWorkspace
+    from repro.workloads.generators import random_block_batch, random_penta_batch
+
+    eng = ExecutionEngine()
+    if kind in ("penta", "blockthomas"):
+        if kind == "penta":
+            e, a, b, c, f, d = random_penta_batch(6, 40, seed=21)
+            req = SolveRequest.build(a, b, c, d, e=e, f=f, fingerprint=True)
+        else:
+            A, B, C, d = random_block_batch(6, 10, block_size=2, seed=22)
+            req = SolveRequest.build(A, B, C, d, fingerprint=True)
+        session = eng.bind(req)
+        key = eng._fact_key(session.plan, "cd" * 16)
+        return key, session.fact, None, d
+    a, b, c, d = _batch(m=6, n=40, seed=23, cyclic=kind == "cyclic")
+    opts = {"thomas": dict(k=0), "hybrid": dict(k=2), "cyclic": dict(k=0, periodic=True)}
+    handle = eng.prepare(a, b, c, **opts.get(kind, {}))
+    key = eng._fact_key(handle.plan, "cd" * 16, periodic=kind == "cyclic")
+    return key, handle.factorization, PreparedWorkspace(handle.plan), d
+
+
+@pytest.mark.parametrize("kind", sorted(SPILL_KEYS))
+def test_spill_format_is_pinned_and_round_trips(kind, tmp_path):
+    from repro.engine.diskcache import _pack
+
+    key, fact, ws, d = _spill_kind(kind)
+    payload: dict = {}
+    _pack(fact, payload)
+    assert str(payload["kind"]) == kind
+    assert sorted(payload) == sorted(SPILL_KEYS[kind])
+
+    cache = FactorizationDiskCache(tmp_path)
+    cache.store(key, fact)
+    loaded = cache.load(key)
+    assert type(loaded) is type(fact) and loaded.nbytes == fact.nbytes
+    want, got = np.empty_like(d), np.empty_like(d)
+    fact.solve_shard(ws, d, want, 0, d.shape[0])
+    loaded.solve_shard(ws, d, got, 0, d.shape[0])
+    assert np.array_equal(got, want)

@@ -151,11 +151,11 @@ def test_factored_solve_equals_full_solve(dtype):
         a, b, c, d = _pivoting_batch(6, 33, dtype, seed)
         fact = GttrfFactorization.factor(a, b, c)
         x = np.empty_like(d)
-        fact.solve_shard(d, x, 0, 6)
+        fact.solve_shard(None, d, x, 0, 6)
         assert np.array_equal(x, gtsv_batch(a, b, c, d))
         y = np.empty_like(d)
-        fact.solve_shard(d, y, 0, 2)
-        fact.solve_shard(d, y, 2, 6)
+        fact.solve_shard(None, d, y, 0, 2)
+        fact.solve_shard(None, d, y, 2, 6)
         assert np.array_equal(y, x)
 
 
