@@ -20,7 +20,9 @@ Every path is held **bitwise identical** to the reference
   order of :func:`repro.core.thomas.thomas_solve_batch`, so results
   match it bit for bit;
   :func:`~repro.core.validation.sweep_breakdown` types non-finite
-  systems.
+  systems.  The kernels take *row sequences*: a 2-D array, or the list
+  of its row views that :func:`row_views` builds once for a long-lived
+  buffer, so a sweep over bound lists creates no view objects.
 * ``"lapack"`` plans (the host route for Table III's ``k > 0`` cells)
   hand the whole batch to one flattened ``?gtsv`` call
   (:func:`repro.core.gtsv.gtsv_batch`); they need no workspace.
@@ -45,7 +47,21 @@ from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
 from repro.core.validation import sweep_breakdown
 
-__all__ = ["execute_plan", "factor_t", "shard_bounds", "solve_t"]
+__all__ = [
+    "ROW_VIEW_MIN_BYTES",
+    "execute_plan",
+    "factor_t",
+    "row_views",
+    "shard_bounds",
+    "solve_t",
+]
+
+#: Smallest row (in bytes) whose view is worth binding: a view is a
+#: ~120-byte object, so a bound row must carry at least 4x that in data
+#: (``M >= 64`` for float64).  Narrower rows would hold more header than
+#: data — a pinned ``k = 0`` at 1x65536 would bind ~7.5 MB of views per
+#: list against 0.5 MB of data.
+ROW_VIEW_MIN_BYTES = 512
 
 
 def shard_bounds(m: int, workers: int) -> list:
@@ -59,37 +75,55 @@ def shard_bounds(m: int, workers: int) -> list:
     ]
 
 
+def row_views(arr):
+    """The row views of the 2-D ``arr``, built once, as a list.
+
+    Row sequences are what :func:`factor_t` / :func:`solve_t` iterate:
+    handing them a bound list instead of the array skips the view
+    object a ``zip`` over the array would create for every row of every
+    operand on every sweep.  Returns ``arr`` itself when its rows are
+    narrower than :data:`ROW_VIEW_MIN_BYTES` (the kernels accept either).
+    """
+    if arr.shape[1] * arr.itemsize < ROW_VIEW_MIN_BYTES:
+        return arr
+    return list(arr)
+
+
 def factor_t(ta, tb, tc, cp, denom, t1) -> None:
     """``denom_i = b_i − c'_{i−1}·a_i``, ``c'_i = c_i / denom_i`` per ``(N, M)`` row.
 
-    ``denom`` may alias ``tb`` and ``cp`` may alias ``tc``; ``t1`` is an
-    ``M``-vector scratch.
+    Every operand is a row sequence (an ``(N, M)`` array or its
+    :func:`row_views`).  ``denom`` may alias ``tb`` and ``cp`` may alias
+    ``tc``; ``t1`` is an ``M``-vector scratch.
     """
-    denom[0] = tb[0]
-    np.divide(tc[0], denom[0], out=cp[0])
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    np.copyto(denom[0], tb[0])
+    divide(tc[0], denom[0], cp[0])
     for a_i, b_i, c_i, cp_prev, cp_i, den_i in zip(
         ta[1:], tb[1:], tc[1:], cp, cp[1:], denom[1:]
     ):
-        np.multiply(cp_prev, a_i, out=t1)
-        np.subtract(b_i, t1, out=den_i)
-        np.divide(c_i, den_i, out=cp_i)
+        multiply(cp_prev, a_i, t1)
+        subtract(b_i, t1, den_i)
+        divide(c_i, den_i, cp_i)
 
 
 def solve_t(ta, cp, denom, dt, dp, xt, t1, t2) -> None:
     """``d'_i = (d_i − d'_{i−1}·a_i) / denom_i``, ``x_i = d'_i − c'_i·x_{i+1}``.
 
-    Eqs. 3-4 over the ``(N, M)`` rows :func:`factor_t` left; ``dp`` and
-    ``xt`` may alias ``dt`` and each other.
+    Eqs. 3-4 over the ``(N, M)`` rows :func:`factor_t` left, every
+    operand a row sequence; ``dp`` and ``xt`` may alias ``dt`` and each
+    other.
     """
-    np.divide(dt[0], denom[0], out=dp[0])
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    divide(dt[0], denom[0], dp[0])
     for a_i, d_i, den_i, dp_prev, dp_i in zip(ta[1:], dt[1:], denom[1:], dp, dp[1:]):
-        np.multiply(dp_prev, a_i, out=t2)
-        np.subtract(d_i, t2, out=t2)
-        np.divide(t2, den_i, out=dp_i)
-    xt[-1] = dp[-1]
+        multiply(dp_prev, a_i, t2)
+        subtract(d_i, t2, t2)
+        divide(t2, den_i, dp_i)
+    np.copyto(xt[-1], dp[-1])
     for cp_i, dp_i, x_next, x_i in zip(cp[-2::-1], dp[-2::-1], xt[::-1], xt[-2::-1]):
-        np.multiply(cp_i, x_next, out=t1)
-        np.subtract(dp_i, t1, out=x_i)
+        multiply(cp_i, x_next, t1)
+        subtract(dp_i, t1, x_i)
 
 
 def execute_plan(
@@ -132,15 +166,18 @@ def execute_plan(
     if plan.uses_thomas:
         # in place: c' over c, pivots over b, d' and x over d
         t0 = time.perf_counter()
-        ta, tb, tc, td = ws.ta, ws.tb, ws.tc, ws.td
-        for dst, src in ((ta, a), (tb, b), (tc, c), (td, d)):
+        for dst, src in ((ws.ta, a), (ws.tb, b), (ws.tc, c), (ws.td, d)):
             transpose_into(dst, src)
+        ta, tb, tc, td = ws.rows
         factor_t(ta, tb, tc, tc, tb, ws.t1)
         solve_t(ta, tc, tb, td, td, td, ws.t1, ws.t2)
         sweep_breakdown(
-            "Thomas elimination", td, tb, check=check, first_system=first_system
+            "Thomas elimination", ws.td, ws.tb, check=check,
+            first_system=first_system,
         )
-        x = transpose_into(np.empty(b.shape, b.dtype) if out is None else out, td)
+        x = transpose_into(
+            np.empty(b.shape, b.dtype) if out is None else out, ws.td
+        )
         if stage_times is not None:
             stage_times.append(
                 ("thomas (transposed)", time.perf_counter() - t0)

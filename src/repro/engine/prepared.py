@@ -71,7 +71,7 @@ from repro.core.validation import (
     sweep_breakdown,
 )
 from repro.core.layout import transpose_into
-from repro.engine.executor import factor_t, solve_t
+from repro.engine.executor import factor_t, row_views, solve_t
 
 __all__ = [
     "CyclicRhsFactorization",
@@ -207,16 +207,34 @@ class ThomasRhsFactorization:
     forward-elimination *denominators* as ``(N, M)`` arrays.  Both
     halves are the one-shot path's kernels (:func:`~repro.engine.executor.factor_t`,
     :func:`~repro.engine.executor.solve_t`), so a prepared solve
-    reproduces an unprepared engine solve bit for bit.
+    reproduces an unprepared engine solve bit for bit.  The row
+    sequences of the three arrays (:func:`~repro.engine.executor.row_views`)
+    are bound on the first whole-batch sweep and reused by every later
+    one; they are derived state, so neither ``nbytes`` nor the spill
+    format counts them.
     """
 
-    __slots__ = ("ta", "cp", "denom", "nbytes")
+    __slots__ = ("ta", "cp", "denom", "nbytes", "_rows")
 
     def __init__(self, ta, cp, denom):
         self.ta = ta
         self.cp = cp
         self.denom = denom
         self.nbytes = ta.nbytes + cp.nbytes + denom.nbytes
+        self._rows = None
+
+    def rows(self) -> tuple:
+        """``(ta, cp, denom)`` as the kernels' row sequences, bound once.
+
+        Concurrent first sweeps may each bind a copy; they are equal and
+        the last one stays.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = tuple(
+                row_views(x) for x in (self.ta, self.cp, self.denom)
+            )
+        return rows
 
     @property
     def m(self) -> int:
@@ -251,11 +269,13 @@ class ThomasRhsFactorization:
 
         :meth:`solve_shard_t` in place on columns ``[lo, hi)`` of the
         workspace's ``(N, M)`` buffer (concurrent shards touch disjoint
-        columns), between two blocked transposes.
+        columns; the whole batch sweeps the buffer's bound rows),
+        between two blocked transposes.
         """
         td = ws.td
         transpose_into(td[:, lo:hi], d[lo:hi])
-        self.solve_shard_t(ws, td, td, lo, hi)
+        rows = ws.td_rows if (lo, hi) == (0, self.m) else td
+        self.solve_shard_t(ws, rows, rows, lo, hi)
         transpose_into(out[lo:hi], td[:, lo:hi])
 
     def solve_shard_t(self, ws, dt, out_t, lo: int, hi: int) -> None:
@@ -265,7 +285,14 @@ class ThomasRhsFactorization:
         of the caller's arrays, ``d'`` and ``x`` both held in ``out_t``:
         no staging copies.  This is the ADI fast path — alternating
         sweep directions hand each solve its input in this orientation.
+        A whole-batch sweep (``[0, M)``) runs over the bound
+        :meth:`rows`, and ``dt`` / ``out_t`` may then be row sequences
+        the caller bound once; a shard slices its columns.
         """
+        if (lo, hi) == (0, self.m):
+            ta, cp, denom = self.rows()
+            solve_t(ta, cp, denom, dt, out_t, out_t, ws.t1, ws.t2)
+            return
         s = slice(lo, hi)
         x = out_t[:, s]
         solve_t(

@@ -57,7 +57,7 @@ from repro.core.periodic import (
     cyclic_reduce,
 )
 from repro.core.tiled_pcr import TilingCounters
-from repro.engine.executor import shard_bounds
+from repro.engine.executor import row_views, shard_bounds
 from repro.engine.prepared import (
     CyclicRhsFactorization,
     ThomasRhsFactorization,
@@ -105,6 +105,8 @@ class BoundSolve:
         self._ws = None
         self._out = None
         self._out_t = None
+        self._stage = None
+        self._rows_t = None
         self._cyc = None
         workers = request.workers
         #: row shards every step runs over (one shard: unsharded)
@@ -474,8 +476,12 @@ class BoundSolve:
         :class:`~repro.engine.prepared.ThomasRhsFactorization` feeds
         :meth:`~repro.engine.prepared.ThomasRhsFactorization.solve_shard_t`
         directly (bitwise identical to :meth:`step` on the transposed
-        arrays: only copies are elided, never arithmetic); every other
-        session runs :meth:`step` between two blocked transposes.
+        arrays: only copies are elided, never arithmetic); an unsharded
+        one sweeps the row views of ``dt`` / ``out_t``, bound once and
+        kept while the caller keeps passing the same two arrays (a
+        one-entry identity memo: an ADI loop hands every step the same
+        buffers).  Every other session runs :meth:`step` between two
+        blocked transposes through a session-held staging buffer.
         Unchecked, like :meth:`step`.  ``out_t`` defaults to a
         session-owned buffer reused across steps — copy it if you keep
         references.
@@ -495,13 +501,24 @@ class BoundSolve:
         if self._transposed:
             fact = self.fact
             ws = self._workspace()
-            for_shards(
-                self.engine, self._shards,
-                lambda lo, hi: fact.solve_shard_t(ws, dt, out_t, lo, hi),
-            )
+            if len(self._shards) == 1:
+                memo = self._rows_t
+                if memo is None or memo[0] is not dt or memo[1] is not out_t:
+                    memo = self._rows_t = (
+                        dt, out_t, row_views(dt), row_views(out_t)
+                    )
+                fact.solve_shard_t(ws, memo[2], memo[3], 0, m)
+            else:
+                for_shards(
+                    self.engine, self._shards,
+                    lambda lo, hi: fact.solve_shard_t(ws, dt, out_t, lo, hi),
+                )
             self.steps += 1
             return out_t
-        x = self.step(transpose_into(np.empty((m, n), dtype=self._dtype), dt))
+        stage = self._stage
+        if stage is None:
+            stage = self._stage = np.empty((m, n), dtype=self._dtype)
+        x = self.step(transpose_into(stage, dt))
         return transpose_into(out_t, x)
 
     # ---- lifecycle ---------------------------------------------------
@@ -542,6 +559,8 @@ class BoundSolve:
             self._ws = None
         self._out = None
         self._out_t = None
+        self._stage = None
+        self._rows_t = None
 
     def __enter__(self) -> "BoundSolve":
         return self

@@ -18,7 +18,10 @@ works in copies of the diagonals and in place on the output):
   :func:`~repro.engine.executor.factor_t` / ``solve_t`` runs in place
   (``c'`` over ``c``, the pivots over ``b``, ``d'`` and ``x`` over
   ``d``), elementwise per system, so results stay bitwise identical to
-  :func:`repro.core.thomas.thomas_solve_batch`.
+  :func:`repro.core.thomas.thomas_solve_batch`.  The row views the
+  kernels iterate are bound once per pooled workspace
+  (:func:`~repro.engine.executor.row_views`, ``rows``); views own no
+  data, so they do not count towards ``nbytes``.
 * ``k > 0`` plans (hybrid): the sliding-window ring buffers
   (:class:`~repro.core.tiled_pcr.TiledWorkspace`), the p-Thomas
   modified-coefficient state
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.core.pthomas import PThomasWorkspace
 from repro.core.tiled_pcr import TiledWorkspace
+from repro.engine.executor import row_views
 
 __all__ = ["PlanWorkspace", "PreparedWorkspace"]
 
@@ -49,6 +53,10 @@ class PlanWorkspace:
             self.ta, self.tb, self.tc, self.td = np.empty((4, n, m), dtype=dtype)
             self.t1, self.t2 = np.empty((2, m), dtype=dtype)
             self.nbytes = (4 * n + 2) * m * self.ta.itemsize
+            #: the kernels' row sequences of ta, tb, tc, td, bound once
+            self.rows = tuple(
+                row_views(x) for x in (self.ta, self.tb, self.tc, self.td)
+            )
         elif plan.algorithm == "hybrid":
             self.tiled = TiledWorkspace(m, plan.k, plan.subtile, dtype)
             self.pthomas = PThomasWorkspace(m, n, plan.k, dtype)
@@ -94,6 +102,8 @@ class PreparedWorkspace:
     keys its ping-pong and regroup buffers into — one dict per shard,
     so sharded solves share one workspace without aliasing.  Cyclic
     sweeps add the intermediate ``y`` buffer (:meth:`cyclic_y`).
+    ``td_rows`` is the RHS buffer's row sequence, bound once
+    (:func:`~repro.engine.executor.row_views`) for whole-batch sweeps.
     """
 
     def __init__(self, plan):
@@ -105,6 +115,7 @@ class PreparedWorkspace:
         self.correction_s = 0.0
         if plan.uses_thomas:
             self.td = np.empty((n, m), dtype=dtype)
+            self.td_rows = row_views(self.td)
             self.t1, self.t2 = np.empty((2, m), dtype=dtype)
             self._scratch = None
         else:

@@ -446,7 +446,12 @@ class SolveService:
         lives in :meth:`_shared_session` and is tried first by
         ``_dispatch``, so ``shared`` is always ``False`` here.  Unset
         ``k`` on groupable fragments is pinned to 0 — the bitwise
-        anchor of the whole tier.
+        anchor of the whole tier.  A multi-fragment window of auto
+        (``fingerprint=None``) fragments runs with ``fingerprint=False``:
+        its coefficients are a fresh concatenation every window, so a
+        digest of them could never hit, and recording it would evict
+        the sightings of real repeat callers from the engine's
+        two-sighting ledger.
         """
         items = bucket.items
         first = items[0].request
@@ -480,7 +485,7 @@ class SolveService:
             n=first.n,
             dtype=first.dtype,
             periodic=first.periodic,
-            fingerprint=first.fingerprint,
+            fingerprint=False if first.fingerprint is None else first.fingerprint,
             rtol=first.rtol,
             workers=first.workers,
             k=0 if pin_k else first.k,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.backends import solve_via
+from repro.backends import default_registry, solve_via
 from repro.service import (
     ServiceConfig,
     ServiceOverloaded,
@@ -210,6 +210,40 @@ def test_shared_matrix_requests_share_one_factorization():
     assert trace is not None and trace.rhs_only
     for x, r in zip(xs, ref):
         assert np.array_equal(x, r)
+
+
+def test_coalesced_auto_windows_skip_the_coefficient_digest():
+    # a multi-fragment window's coefficients are a fresh concatenation,
+    # so its digest could never hit: it runs unfingerprinted and leaves
+    # the engine's sighting ledger alone
+    engine = default_registry().get("engine").engine
+    frags = small_request_traffic(8, 4, 72, seed=9001)
+    solo_frag = small_request_traffic(1, 4, 72, seed=9101)[0]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            misses = engine.stats.fingerprint_misses
+            await asyncio.gather(*[
+                svc.submit(*batch, tenant=t) for t, batch in frags
+            ])
+            window = (
+                svc.stats.describe()["dispatches"],
+                svc.last_trace("tenant-0"),
+                engine.stats.fingerprint_misses - misses,
+            )
+            await svc.submit(*solo_frag[1], tenant="solo")
+            solo = (
+                svc.last_trace("solo"),
+                engine.stats.fingerprint_misses - misses,
+            )
+            return window, solo
+
+    (dispatches, trace, misses), (solo_trace, solo_misses) = run(main())
+    assert dispatches == 1 and trace.m == 32
+    assert trace.factorization == "off" and misses == 0
+    # a solo window keeps the auto lifecycle: a first sighting
+    assert solo_trace.m == 4 and solo_trace.factorization == "miss"
+    assert solo_misses == 1
 
 
 # ---------------------------------------------------------------------------

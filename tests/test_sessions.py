@@ -15,6 +15,7 @@ the transposed-layout ``step_t`` fast path and the session lifecycle.
 from __future__ import annotations
 
 import asyncio
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.workloads.generators import (
     random_block_batch,
     random_penta_batch,
 )
+from repro.workloads.pde import adi_row_coefficients
 
 KINDS = ("plain", "cyclic", "penta", "block")
 
@@ -172,6 +174,65 @@ def test_step_t_fallback_modes_match_step():
         x = one_shot(d)
         assert np.array_equal(session.step_t(np.ascontiguousarray(d.T)), x.T)
         assert session.steps == 1  # the fallback counts once, not twice
+
+
+def _wide_session(m=96, n=40, seed=37):
+    """A k = 0 session whose rows are wide enough to bind row views."""
+    a, b, c, d = random_batch(m, n, seed=seed)
+    session = bind_via(a, b, c, d, backend="engine", k=0, fingerprint=True)
+    one = lambda dd: solve_via(a, b, c, dd, backend="engine", k=0)[0]
+    return session, one
+
+
+def test_step_t_row_memo_follows_alternating_buffers():
+    session, one_shot = _wide_session()
+    rng = np.random.default_rng(43)
+    with session:
+        assert session.mode == "rhs"
+        bufs = [np.ascontiguousarray(rng.standard_normal((96, 40)).T) for _ in range(2)]
+        outs = [np.empty((40, 96)) for _ in range(2)]
+        for i in range(6):
+            dt, out_t = bufs[i % 2], outs[i % 2]
+            dt[...] = rng.standard_normal(dt.shape)
+            assert session.step_t(dt, out_t=out_t) is out_t
+            assert np.array_equal(out_t, one_shot(dt.T.copy()).T)
+            # the session-owned output alternates with the caller's
+            xt = session.step_t(dt)
+            assert xt is not out_t and np.array_equal(xt, out_t)
+
+
+def test_step_t_row_memo_sees_in_place_mutation():
+    session, one_shot = _wide_session(seed=47)
+    rng = np.random.default_rng(53)
+    dt = np.empty((40, 96))
+    out_t = np.empty((40, 96))
+    with session:
+        for _ in range(4):
+            dt[...] = rng.standard_normal(dt.shape)  # same buffer, new data
+            session.step_t(dt, out_t=out_t)
+            assert np.array_equal(out_t, one_shot(dt.T.copy()).T)
+        # aliasing in and out through the memo
+        ref = one_shot(dt.T.copy()).T
+        assert session.step_t(dt, out_t=dt) is dt
+        assert np.array_equal(dt, ref)
+
+
+def test_step_t_fallback_allocates_no_staging_grid():
+    m = n = 256  # below the k = 0 cut-over: a LAPACK session
+    a, b, c = adi_row_coefficients(m, n, 0.3)
+    dt = np.random.default_rng(59).random((n, m))
+    with bind_via(a, b, c, np.zeros_like(b), fingerprint=True) as session:
+        assert session.plan.algorithm == "lapack" and session.mode == "rhs"
+        ref = session.step_t(dt).copy()  # warm: the staging buffer exists
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            xt = session.step_t(dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * dt.itemsize
+        assert np.array_equal(xt, ref)
 
 
 def test_step_t_rejects_block_sessions_and_bad_shapes():

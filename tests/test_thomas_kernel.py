@@ -22,7 +22,15 @@ from repro.backends import bind_via
 from repro.core.layout import TRANSPOSE_BLOCK, transpose_into
 from repro.core.thomas import thomas_solve_batch
 from repro.core.validation import SingularSystemError
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, ThomasRhsFactorization
+from repro.engine.executor import (
+    ROW_VIEW_MIN_BYTES,
+    factor_t,
+    row_views,
+    shard_bounds,
+    solve_t,
+)
+from repro.engine.workspace import PlanWorkspace, PreparedWorkspace
 
 from .conftest import make_batch
 
@@ -96,6 +104,69 @@ def test_k0_full_session_bitwise_equals_oracle(m):
     assert np.array_equal(session.step(d), ref)
     assert np.array_equal(session.step_t(np.ascontiguousarray(d.T)), ref.T)
     assert np.array_equal(session.step_once(d).x, ref)
+
+
+# ------------------------------------------- row sequences and bound views
+
+
+def _transposed(m, n, seed):
+    return tuple(np.ascontiguousarray(x.T) for x in make_batch(m, n, seed=seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 200), n=st.integers(1, 200), workers=st.integers(1, 4))
+def test_kernels_over_row_lists_equal_kernels_over_arrays(m, n, workers):
+    ta, tb, tc, td = _transposed(m, n, seed=m * 1000 + n)
+    t1, t2 = np.empty((2, m))
+
+    # arrays: the kernels zip over fresh row views
+    cp, den, xt = tc.copy(), tb.copy(), td.copy()
+    factor_t(ta, den, cp, cp, den, t1)
+    solve_t(ta, cp, den, xt, xt, xt, t1, t2)
+    # bound lists, whatever the row width
+    cp_l, den_l, xt_l = tc.copy(), tb.copy(), td.copy()
+    cp_r, den_r, xt_r = list(cp_l), list(den_l), list(xt_l)
+    factor_t(list(ta), den_r, cp_r, cp_r, den_r, t1)
+    solve_t(list(ta), cp_r, den_r, xt_r, xt_r, xt_r, t1, t2)
+    assert np.array_equal(cp_l, cp) and np.array_equal(den_l, den)
+    assert np.array_equal(xt_l, xt)
+    a, b, c, d = (np.ascontiguousarray(x.T) for x in (ta, tb, tc, td))
+    assert np.array_equal(xt.T, thomas_solve_batch(a, b, c, d))
+
+    # shards slice columns; the whole range sweeps the bound rows
+    fact = ThomasRhsFactorization.factor(a, b, c)
+    ws = PreparedWorkspace(ExecutionEngine().plan_for(m, n, np.dtype(np.float64), k=0))
+    sharded = np.full((n, m), np.nan)
+    for lo, hi in shard_bounds(m, workers):
+        fact.solve_shard_t(ws, td, sharded, lo, hi)
+    whole = np.full((n, m), np.nan)
+    fact.solve_shard_t(ws, row_views(td), row_views(whole), 0, m)
+    assert np.array_equal(sharded, xt) and np.array_equal(whole, xt)
+
+
+def test_narrow_rows_bind_no_view_lists():
+    engine = ExecutionEngine()
+    # a pinned k = 0 at 1x65536: lists would hold ~7.5 MB of view
+    # headers per list against 0.5 MB of data
+    plan = engine.plan_for(1, 65536, np.dtype(np.float64), k=0)
+    assert plan.uses_thomas
+    ws, pws = PlanWorkspace(plan), PreparedWorkspace(plan)
+    a, b, c, d = make_batch(1, 65536, seed=3)
+    fact = ThomasRhsFactorization.factor(a, b, c)
+    bound = (*ws.rows, pws.td_rows, *fact.rows())
+    assert not any(isinstance(r, list) for r in bound)
+    assert np.array_equal(
+        engine.solve_batch(a, b, c, d, k=0, fingerprint=False),
+        thomas_solve_batch(a, b, c, d),
+    )
+    # rows of ROW_VIEW_MIN_BYTES bind lists, once
+    m = ROW_VIEW_MIN_BYTES // 8
+    ws = PlanWorkspace(engine.plan_for(m, 16, np.dtype(np.float64), k=0))
+    assert all(isinstance(r, list) and len(r) == 16 for r in ws.rows)
+    assert ws.nbytes == (4 * 16 + 2) * m * 8  # views own no data
+    fact = ThomasRhsFactorization.factor(*make_batch(m, 16, seed=4)[:3])
+    assert fact.rows() is fact.rows()
+    assert all(isinstance(r, list) for r in fact.rows())
 
 
 # ------------------------------------------------------ breakdown guard
