@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Distributed N-partition benchmark: crossover and correctness.
+"""N-partition benchmark: device-model crossover and correctness.
 
-The distributed backend splits one huge-``N`` system batch across ``P``
+A ``ranks=P`` solve splits one huge-``N`` system batch across ``P``
 ranks; each rank eliminates its slab with the two-sweep modified Thomas
 algorithm (17 values moved per slab row vs the 9 of a monolithic
 Thomas sweep), and the ranks meet only at the ``2P``-row reduced
@@ -12,20 +12,19 @@ beyond which partitioning wins.
 
 This benchmark locates that crossover **on the device model** (the
 :mod:`repro.kernels.comm_kernel` ledgers: ``P`` concurrent devices, a
-latency/bandwidth interconnect) and verifies correctness of the real
-multiprocess backend on this host:
+latency/bandwidth interconnect) and verifies the numerics of the
+``ranks=`` route on this host:
 
 * **crossover** — for P in {2, 4}, sweep N and record the first size
-  where the predicted distributed time beats the predicted single-
+  where the predicted partitioned time beats the predicted single-
   device solve.  Gated: both crossovers must exist within the sweep.
-* **correctness** — gated: the multiprocess backend's results are
-  bitwise identical to the in-process partition reference at every
-  tested P, and elementwise close (1e-10) to the engine's ``k = 0``
-  solve.
-* **measured** — host wall-clock of the multiprocess backend vs the
-  engine, recorded for context but **not** gated: a one/few-core CI
-  host serializes the "parallel" ranks, so measured speedups say
-  nothing about the P-device deployment the model prices.
+* **correctness** — gated: ``solve_batch(..., ranks=P)`` is bitwise
+  identical to the in-process partition reference at every tested P,
+  and elementwise close (1e-10) to the engine's ``k = 0`` solve.
+
+The crossover is a prediction for ``P`` devices; the in-process route
+runs the ranks one after another on the host, so its wall-clock is not
+recorded here.
 
 Results land in ``BENCH_distributed.json``.
 
@@ -38,14 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import time
 from pathlib import Path
 
 import numpy as np
 
 import repro
-from repro.distributed import partitioned_solve_reference, shutdown_pools
+from repro.distributed import partitioned_solve_reference
 from repro.gpusim.timing import GpuTimingModel
 from repro.gpusim.device import GTX480
 from repro.kernels.comm_kernel import distributed_plan
@@ -53,6 +50,8 @@ from repro.kernels.pthomas_kernel import pthomas_counters
 
 M = 64  # systems per batch for the crossover sweep
 RANKS = (2, 4)
+#: rank counts the correctness gate solves at (crossovers use RANKS)
+CHECK_RANKS = (2, 3, 4, 8)
 SWEEP_N = (16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024, 4096)
 
 
@@ -89,12 +88,9 @@ def correctness(n: int, m: int = 4) -> dict:
     a, b, c, d = huge_system_batch(n, m=m, seed=42)
     engine_ref = repro.solve_batch(a, b, c, d, backend="engine", k=0)
     results = []
-    for p in (1,) + RANKS:
-        x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=p)
-        ref = (
-            engine_ref if p == 1
-            else partitioned_solve_reference(a, b, c, d, p)
-        )
+    for p in CHECK_RANKS:
+        x = repro.solve_batch(a, b, c, d, ranks=p)
+        ref = partitioned_solve_reference(a, b, c, d, p)
         results.append({
             "ranks": p,
             "bitwise_vs_reference": bool(np.array_equal(x, ref)),
@@ -105,34 +101,6 @@ def correctness(n: int, m: int = 4) -> dict:
         for r in results
     )
     return {"n": n, "m": m, "results": results, "ok": ok}
-
-
-def measured_wallclock(n: int, m: int = 4, repeats: int = 3) -> dict:
-    """Host wall-clock, context only (a 1-core host serializes ranks)."""
-    from repro.workloads.generators import huge_system_batch
-
-    a, b, c, d = huge_system_batch(n, m=m, seed=7)
-    rows = {}
-
-    def best_of(fn):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    rows["engine_k0_s"] = best_of(
-        lambda: repro.solve_batch(a, b, c, d, backend="engine", k=0)
-    )
-    for p in RANKS:
-        rows[f"distributed_p{p}_s"] = best_of(
-            lambda p=p: repro.solve_batch(
-                a, b, c, d, backend="distributed", ranks=p
-            )
-        )
-    rows["host_cpus"] = os.cpu_count() or 1
-    return {"n": n, "m": m, **rows}
 
 
 def main() -> None:
@@ -153,35 +121,25 @@ def main() -> None:
 
     if args.smoke:
         report = correctness(257)
-        shutdown_pools()
         if not report["ok"]:
             raise SystemExit(f"smoke correctness failed: {report}")
-        print("smoke: distributed correctness ok "
-              f"(N={report['n']}, ranks 1/{'/'.join(map(str, RANKS))})")
+        print("smoke: ranks= route correctness ok "
+              f"(N={report['n']}, ranks {'/'.join(map(str, CHECK_RANKS))})")
         return
 
     crossovers = [predicted_crossover(M, p) for p in RANKS]
     corr = correctness(4097)
-    wall = measured_wallclock(65536)
-    shutdown_pools()
 
     crossover_met = all(c["crossover_n"] is not None for c in crossovers)
     payload = {
-        "benchmark": "distributed N-partition backend",
+        "benchmark": "N-partition ranks= route",
         "device_model": GTX480.name,
         "crossover": crossovers,
         "correctness": corr,
-        "measured_host_wallclock": {
-            **wall,
-            "note": (
-                "context only, not gated: multiprocess ranks serialize "
-                "on a small host; the deployment target is P devices"
-            ),
-        },
         "acceptance": {
             "target": (
                 "a crossover N exists for every tested P (device model) "
-                "and distributed results are bitwise identical to the "
+                "and ranks= results are bitwise identical to the "
                 "partition reference, <= 1e-10 vs the engine at k=0"
             ),
             "crossover_n": {

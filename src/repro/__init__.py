@@ -101,7 +101,7 @@ from repro.service import (
     SolveService,
     SyncSolveClient,
 )
-from repro.distributed import DistributedWorkerError, partitioned_solve_reference
+from repro.distributed import partitioned_solve_reference
 from repro.util import BatchTridiagonal, TridiagonalSystem
 
 __version__ = "1.5.0"
@@ -137,7 +137,6 @@ __all__ = [
     "ServiceOverloaded",
     "SolveService",
     "SyncSolveClient",
-    "DistributedWorkerError",
     "partitioned_solve_reference",
     "BoundSolve",
     "ExecutionEngine",

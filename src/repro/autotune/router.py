@@ -135,31 +135,6 @@ def candidate_routes(
                         "fingerprint": tier,
                         "ranks": 1,
                     })
-    # ranks axis: multi-rank backends partition N, so the variants only
-    # make sense where the interface exchange can amortize (large N)
-    if not banded:
-        for backend in sorted(candidates, key=lambda b: b.name):
-            caps = backend.capabilities()
-            if caps.simulated or caps.max_ranks <= 1:
-                continue
-            if request.ranks is not None:
-                ranks_opts = (
-                    (request.ranks,) if request.ranks > 1 else ()
-                )
-            elif request.n >= 4096:
-                ranks_opts = (2, 4)
-            else:
-                ranks_opts = ()
-            for r in ranks_opts:
-                routes.append({
-                    "backend": backend.name,
-                    # the partitioned pipeline is its own algorithm —
-                    # no PCR front-end, so k stays 0 unless pinned
-                    "k": int(request.k) if request.k is not None else 0,
-                    "workers": 1,
-                    "fingerprint": "auto",
-                    "ranks": int(min(r, caps.max_ranks)),
-                })
     return routes[:MAX_CANDIDATE_ROUTES]
 
 

@@ -1,9 +1,9 @@
 """Unified backend dispatch: one protocol behind every execution path.
 
-The repo's five execution strategies — the single-call reference
-solver, the plan-caching engine, the thread-sharded executor, the
-simulated-GPU solver, and the N-partitioned distributed solver —
-stand behind one two-method :class:`Backend` protocol
+The repo's four execution strategies — the single-call reference
+solver, the plan-caching engine, the thread-sharded executor, and the
+simulated-GPU solver (which also runs and prices ``ranks=``
+N-partitioned solves) — stand behind one two-method :class:`Backend` protocol
 (``capabilities()`` + ``execute(request)``) and one registry that
 negotiates a :class:`SolveRequest` against capabilities — plain,
 prepared, and periodic solves are all the same request shape:
@@ -12,7 +12,7 @@ prepared, and periodic solves are all the same request shape:
 >>> import repro
 >>> from repro.backends import list_backends
 >>> sorted(name for name, _ in list_backends())
-['distributed', 'engine', 'gpusim', 'numpy', 'threaded']
+['engine', 'gpusim', 'numpy', 'threaded']
 >>> rng = np.random.default_rng(0)
 >>> a = rng.standard_normal((4, 64)); a[:, 0] = 0
 >>> c = rng.standard_normal((4, 64)); c[:, -1] = 0
@@ -28,7 +28,7 @@ side by side); the most recent one is ``repro.last_trace()``.
 
 Layering: ``workloads → api / solver → registry (+ router) → backends
 → core / engine / gpusim`` — see ``docs/ARCHITECTURE.md``.  New
-execution strategies (numba, cupy, distributed…) implement the
+execution strategies (numba, cupy, multi-device…) implement the
 protocol and call :func:`register_backend`; no other layer changes.
 """
 

@@ -21,7 +21,7 @@ most recent trace per thread for callers that hold a backend directly.
 
 The registry (:mod:`repro.backends.registry`) negotiates capabilities
 against a request and routes; adding a fifth backend (numba, cupy,
-distributed…) means implementing this protocol and registering it —
+multi-device…) means implementing this protocol and registering it —
 no new dispatch code anywhere else.
 """
 
@@ -68,8 +68,9 @@ class Capabilities:
         Largest useful ``workers=`` value (1 = no sharding).
     max_ranks:
         Largest useful ``ranks=`` value — the N-axis partition count of
-        the distributed tier (1 = cannot partition; requests with
-        ``ranks > 1`` negotiate only against multi-rank backends).
+        :mod:`repro.distributed.partition` (1 = cannot partition;
+        requests with ``ranks > 1`` negotiate only against multi-rank
+        backends).
     simulated:
         True when the backend's timing report is a device-model
         prediction rather than a measurement.

@@ -8,7 +8,10 @@ prices the same launch on the device model; the resulting trace carries
 each kernel stage's **predicted** device time next to the **measured**
 NumPy wall time, plus the predicted total.  Cyclic requests price the
 Sherman–Morrison pipeline (two inner launches — or the prepared
-RHS-only sweep — plus the rank-one correction pair).
+RHS-only sweep — plus the rank-one correction pair).  This is the one
+backend advertising ``max_ranks > 1``, so ``backend="auto"`` sends
+every ``ranks > 1`` request here: it runs the in-process N-partition
+pipeline and prices it as ``P`` devices over a link.
 
 Numerics note: the device planner caps ``k`` by shared-memory capacity
 and picks Fig. 11b window counts, so its plan can differ from the
@@ -80,87 +83,35 @@ class GpuSimBackend(BackendBase):
     ) -> SolveOutcome:
         """Price a ``P``-rank N-partitioned solve on the device model.
 
-        Numerics run in-process through the same slab math the real
-        distributed backend ships to its workers
-        (:func:`~repro.distributed.partition.partitioned_solve_reference`
-        — bitwise identical to the multiprocess path by construction);
+        Numerics run in-process through
+        :func:`~repro.distributed.partition.partitioned_solve` (bitwise
+        :func:`~repro.distributed.partition.partitioned_solve_reference`);
         the predicted stage times come from the
         :mod:`~repro.kernels.comm_kernel` ledgers, which model the
         ranks as ``P`` concurrent devices exchanging interface rows
         over a latency/bandwidth link.
         """
-        import time as _time
-
-        from repro.distributed.partition import (
-            assemble_reduced,
-            backsub_slab,
-            eliminate_slab,
-            slab_bounds,
-            solve_reduced,
-        )
+        from repro.distributed.partition import partitioned_solve, slab_bounds
 
         if request.periodic:
-            # corner-reduce + two plain distributed solves; the inner
+            # corner-reduce + two plain partitioned solves; the inner
             # requests keep ranks=, so each re-enters this route
             return self._periodic_fallback(request)
 
-        dtype_bytes = np.dtype(request.dtype).itemsize
-        predicted = {
-            name: us
-            for name, us in _distributed_plan_cached(
-                request.m, request.n, ranks, dtype_bytes,
-                self.solver.device,
-            )
-        }
-
-        t0 = _time.perf_counter()
-        bounds = slab_bounds(request.n, ranks)
-        at = np.ascontiguousarray(request.a.T)
-        bt = np.ascontiguousarray(request.b.T)
-        ct = np.ascontiguousarray(request.c.T)
-        dt = np.ascontiguousarray(request.d.T)
-        t_partition = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        reps, reduced_rows = [], []
-        for lo, hi in bounds:
-            rep, reduced = eliminate_slab(
-                at[lo:hi], bt[lo:hi], ct[lo:hi], dt[lo:hi]
-            )
-            reps.append(rep)
-            reduced_rows.append(reduced)
-        t_eliminate = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        xb = solve_reduced(*assemble_reduced(reduced_rows))
-        t_reduced = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        xt = np.empty_like(bt)
-        for p, (lo, hi) in enumerate(bounds):
-            backsub_slab(
-                reps[p], xb[:, 2 * p], xb[:, 2 * p + 1], xt[lo:hi]
-            )
-        t_backsub = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        if request.out is not None:
-            x = request.out
-            np.copyto(x, xt.T)
-        else:
-            x = np.ascontiguousarray(xt.T)
-        t_comms = _time.perf_counter() - t0
-
-        measured = [
-            ("partition", t_partition),
-            (f"local-eliminate [{ranks} ranks]", t_eliminate),
-            ("reduced-solve", t_reduced),
-            (f"backsub [{ranks} ranks]", t_backsub),
-            ("comms", t_comms),
-        ]
+        predicted = _distributed_plan_cached(
+            request.m, request.n, ranks, np.dtype(request.dtype).itemsize,
+            self.solver.device,
+        )
+        measured = []
+        x = partitioned_solve(
+            request.a, request.b, request.c, request.d,
+            slab_bounds(request.n, ranks), out=request.out,
+            stage_times=measured,
+        )
+        # both ledgers list the same five stages in the same order
         stages = [
-            StageTiming(name, secs, predicted.get(name))
-            for name, secs in measured
+            StageTiming(name, secs, us)
+            for (name, secs), (_, us) in zip(measured, predicted)
         ]
         trace = self._set_trace(
             SolveTrace(
@@ -175,7 +126,7 @@ class GpuSimBackend(BackendBase):
                 factorization="n/a",
                 system=request.system.kind,
                 stages=stages,
-                predicted_total_us=sum(predicted.values()),
+                predicted_total_us=sum(us for _, us in predicted),
             )
         )
         return SolveOutcome(x=x, trace=trace)

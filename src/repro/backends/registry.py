@@ -111,16 +111,7 @@ class Router:
     kind = "static"
 
     def __init__(self, rules: tuple = ()):
-        self.rules = (
-            tuple(rules) if rules else (self.route_ranks, self.route_workers)
-        )
-
-    @staticmethod
-    def route_ranks(request: SolveRequest) -> str | None:
-        """N-partitioning requested → the distributed tier."""
-        if request.ranks is not None and request.ranks > 1:
-            return "distributed"
-        return None
+        self.rules = tuple(rules) if rules else (self.route_workers,)
 
     @staticmethod
     def route_workers(request: SolveRequest) -> str | None:
@@ -259,13 +250,11 @@ def _populate(reg: BackendRegistry) -> None:
     from repro.backends.gpusim_backend import GpuSimBackend
     from repro.backends.numpy_ref import NumpyReferenceBackend
     from repro.backends.threaded import ThreadedBackend
-    from repro.distributed.backend import DistributedBackend
 
     reg.register(EngineBackend())
     reg.register(NumpyReferenceBackend())
     reg.register(ThreadedBackend())
     reg.register(GpuSimBackend())
-    reg.register(DistributedBackend())
 
 
 def register_backend(backend: Backend, *, replace: bool = False) -> Backend:

@@ -162,8 +162,8 @@ class SolveRequest:
     workers:
         Requested batch-axis shard count (``None`` = backend default).
     ranks:
-        Requested N-axis partition count for the distributed tier
-        (``None`` = not partitioned; ``ranks > 1`` restricts
+        Requested N-axis partition count of
+        :mod:`repro.distributed.partition` (``None`` = not partitioned; ``ranks > 1`` restricts
         negotiation to backends advertising ``Capabilities.max_ranks``
         above 1).
     k, fuse, n_windows, subtile_scale, parallelism, heuristic:

@@ -120,8 +120,7 @@ class SolveTrace:
         Remaining plan knobs (``workers`` is 1 for unsharded solves).
     ranks:
         N-axis partition count the solve ran under (1 = not
-        distributed; ``> 1`` only for the distributed tier and the
-        gpusim simulated-distributed route).
+        partitioned; ``> 1`` only on the gpusim ``ranks=`` route).
     plan_cache:
         ``"hit"`` / ``"miss"`` for plan-caching backends, ``"n/a"``
         otherwise.

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--ranks", type=int, default=None, metavar="P",
         help="partition each system's N rows across P ranks "
-        "(the distributed backend's reduced-interface pipeline)",
+        "(the in-process reduced-interface pipeline, priced by gpusim)",
     )
     solve.add_argument(
         "--trace", action="store_true",

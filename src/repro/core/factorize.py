@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.transition import GTX480_HEURISTIC, clamp_k
-from repro.core.validation import check_batch_arrays
+from repro.core.validation import check_batch_arrays, sweep_breakdown
 
 __all__ = ["HybridFactorization", "ThomasFactorization"]
 
@@ -276,7 +276,13 @@ class HybridFactorization:
         return arr
 
     def breakdown(self, ws, x, *, check: bool) -> None:
-        """The breakdown hook: the hybrid route has no guard yet."""
+        """The breakdown hook: nothing to enforce before a sweep
+        (``x is None``); after one, a non-finite system of ``x`` raises
+        :class:`~repro.core.validation.SingularSystemError` (row
+        ``None``: the hybrid route stores no scalar pivots), or warns
+        under ``check=False``."""
+        if x is not None:
+            sweep_breakdown("hybrid elimination", x.T, None, check=check)
 
     def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """RHS-only sweep for batch rows ``[lo, hi)`` of ``d`` into ``out``.

@@ -1,35 +1,20 @@
-"""Distributed N-partition tier: one huge system across many workers.
+"""N-partition math: one huge system split into ``P`` row slabs.
 
 * :mod:`~repro.distributed.partition` — the slab math: modified-Thomas
   elimination, the ``2P``-row reduced interface system, vectorized
-  back-substitution, and the in-process bitwise reference.
-* :mod:`~repro.distributed.pool` — persistent multiprocessing workers
-  fed through pickle-free shared-memory arenas.
-* :mod:`~repro.distributed.backend` — the ``distributed``
-  :class:`~repro.backends.base.Backend` the registry negotiates.
+  back-substitution, and the in-process pipeline behind every
+  ``ranks=`` solve (the ``gpusim`` backend runs it and prices it on
+  the device model through :mod:`repro.kernels.comm_kernel`).
 """
 
-from repro.distributed.backend import DistributedBackend, DistributedBoundSolve
 from repro.distributed.partition import (
     effective_ranks,
     partitioned_solve_reference,
     slab_bounds,
 )
-from repro.distributed.pool import (
-    DistributedWorkerError,
-    WorkerPool,
-    get_pool,
-    shutdown_pools,
-)
 
 __all__ = [
-    "DistributedBackend",
-    "DistributedBoundSolve",
-    "DistributedWorkerError",
-    "WorkerPool",
     "effective_ranks",
-    "get_pool",
     "partitioned_solve_reference",
-    "shutdown_pools",
     "slab_bounds",
 ]

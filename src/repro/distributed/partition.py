@@ -1,6 +1,6 @@
-"""N-partition math for the distributed backend.
+"""N-partition math: one tridiagonal system split across ``P`` slabs.
 
-The spine of the distributed tier is Wang's partition method as used by
+The spine is Wang's partition method as used by
 DistD2 (Akkurt et al., arXiv 2411.13532): split one length-``N``
 tridiagonal system into ``P`` contiguous slabs, run a **modified
 Thomas** elimination inside each slab (two sweeps), and what remains is
@@ -15,11 +15,10 @@ step is one contiguous M-wide vector operation, exactly like the
 engine's interleaved ``k = 0`` Thomas layout.
 
 The functions in this module are the *single* implementation of the
-math: the multiprocessing workers (:mod:`repro.distributed.pool`) call
-:func:`eliminate_slab` / :func:`backsub_slab` on shared-memory views,
-and :func:`partitioned_solve_reference` calls them in-process on the
-same values — so the worker path is bitwise identical to the reference
-by construction.
+math, and :func:`partitioned_solve` is the one pipeline over them:
+:func:`partitioned_solve_reference` and the ``gpusim`` backend's
+``ranks=`` route (which also prices each stage on the device model)
+both run it, so the two are bitwise identical by construction.
 
 Derivation (per slab, rows ``0..L-1``; ``x[-1]``/``x[L]`` are the
 neighbouring slabs' boundary unknowns, carried by the padded ``a[0]``
@@ -42,6 +41,8 @@ and ``c[L-1]`` coefficients):
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "backsub_slab",
     "assemble_reduced",
     "solve_reduced",
+    "partitioned_solve",
     "partitioned_solve_reference",
 ]
 
@@ -87,10 +89,10 @@ def eliminate_slab(a, b, c, d):
     * ``rep`` — a ``(3, L, M)`` array whose rows ``1..L-2`` hold the
       interior representation ``x_i = dr_i - ar_i*x0 - cr_i*xl``
       (``rep[0] = ar``, ``rep[1] = cr``, ``rep[2] = dr``).  Rows ``0``
-      and ``L-1`` are scratch.  This stays local to the worker between
+      and ``L-1`` are scratch.  This stays local to the slab between
       the eliminate and backsub phases.
     * ``reduced`` — a ``(6, M)`` array with the slab's two normalized
-      boundary equations, the only data shipped to rank 0:
+      boundary equations, the only data the interface system reads:
       ``[sub0, sup0, rhs0]`` for ``x0`` (``sub0`` couples the previous
       slab's last unknown, ``sup0`` couples ``xl``) and
       ``[subl, supl, rhsl]`` for ``xl`` (``subl`` couples ``x0``,
@@ -212,20 +214,73 @@ def solve_reduced(ra, rb, rc, rd):
     return fact.solve(rd[..., None])[..., 0]
 
 
-def partitioned_solve_reference(a, b, c, d, ranks, *, bounds=None, out=None):
-    """In-process reference for the distributed pipeline.
+def partitioned_solve(a, b, c, d, bounds, *, out=None, stage_times=None):
+    """The partition pipeline over coerced ``(M, N)`` diagonals.
 
-    Runs the exact slab kernels the multiprocessing workers run —
-    same functions, same values, same op order — so the worker path is
-    bitwise identical to this reference.  ``bounds`` overrides the
-    default near-equal partition (each slab must keep >= 2 rows), which
-    the cross-rank determinism property test exercises.
+    Transpose into ``(N, M)``, eliminate every ``[lo, hi)`` slab of
+    ``bounds``, solve the reduced interface system, back-substitute,
+    and transpose the solution into ``out`` (a fresh array when
+    ``None``).  ``stage_times``, if given, receives ``(stage name,
+    seconds)`` pairs for ``partition``, ``local-eliminate [P ranks]``,
+    ``reduced-solve``, ``backsub [P ranks]`` and ``comms`` — the names
+    :func:`~repro.kernels.comm_kernel.distributed_plan` prices.
+    """
+    ranks = len(bounds)
+    clock = time.perf_counter
+    t0 = clock()
+    at, bt, ct, dt = (np.ascontiguousarray(v.T) for v in (a, b, c, d))
+    t1 = clock()
+
+    reps = []
+    reduced_rows = []
+    for lo, hi in bounds:
+        rep, reduced = eliminate_slab(
+            at[lo:hi], bt[lo:hi], ct[lo:hi], dt[lo:hi]
+        )
+        reps.append(rep)
+        reduced_rows.append(reduced)
+    t2 = clock()
+
+    xb = solve_reduced(*assemble_reduced(reduced_rows))
+    t3 = clock()
+
+    xt = np.empty_like(bt)
+    for i, (lo, hi) in enumerate(bounds):
+        backsub_slab(
+            reps[i], xb[:, 2 * i], xb[:, 2 * i + 1], xt[lo:hi]
+        )
+    t4 = clock()
+
+    if out is None:
+        out = np.ascontiguousarray(xt.T)
+    else:
+        np.copyto(out, xt.T)
+    if stage_times is not None:
+        stage_times += [
+            ("partition", t1 - t0),
+            (f"local-eliminate [{ranks} ranks]", t2 - t1),
+            ("reduced-solve", t3 - t2),
+            (f"backsub [{ranks} ranks]", t4 - t3),
+            ("comms", clock() - t4),
+        ]
+    return out
+
+
+def partitioned_solve_reference(a, b, c, d, ranks, *, bounds=None, out=None):
+    """In-process reference for every ``ranks=`` solve.
+
+    :func:`partitioned_solve` over the near-equal :func:`slab_bounds`
+    split — the pipeline the ``gpusim`` backend's ``ranks=`` route
+    runs, so that route is bitwise identical to this reference.
+    ``bounds`` overrides the default partition (each slab must keep
+    >= 2 rows), which the cross-rank determinism property test
+    exercises.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     c = np.asarray(c)
     d = np.asarray(d)
-    m, n = b.shape
+    n = b.shape[1]
     if bounds is None:
         bounds = slab_bounds(n, ranks)
     else:
@@ -237,30 +292,4 @@ def partitioned_solve_reference(a, b, c, d, ranks, *, bounds=None, out=None):
                 raise ValueError("bounds must be contiguous")
         if any(hi - lo < MIN_SLAB_ROWS for lo, hi in bounds):
             raise ValueError(f"every slab needs >= {MIN_SLAB_ROWS} rows")
-
-    at = np.ascontiguousarray(a.T)
-    bt = np.ascontiguousarray(b.T)
-    ct = np.ascontiguousarray(c.T)
-    dt = np.ascontiguousarray(d.T)
-
-    reps = []
-    reduced_rows = []
-    for lo, hi in bounds:
-        rep, reduced = eliminate_slab(
-            at[lo:hi], bt[lo:hi], ct[lo:hi], dt[lo:hi]
-        )
-        reps.append(rep)
-        reduced_rows.append(reduced)
-
-    xb = solve_reduced(*assemble_reduced(reduced_rows))
-
-    xt = np.empty((n, m), dtype=b.dtype)
-    for i, (lo, hi) in enumerate(bounds):
-        backsub_slab(
-            reps[i], xb[:, 2 * i], xb[:, 2 * i + 1], xt[lo:hi]
-        )
-
-    if out is not None:
-        np.copyto(out, xt.T)
-        return out
-    return np.ascontiguousarray(xt.T)
+    return partitioned_solve(a, b, c, d, bounds, out=out)

@@ -11,7 +11,8 @@ Every path is held **bitwise identical** to the reference
 :class:`~repro.core.hybrid.HybridSolver`:
 
 * ``k > 0`` plans run the same :class:`~repro.core.tiled_pcr.TiledPCR`
-  sweep and p-Thomas back-end, just against plan-owned workspaces.
+  sweep and p-Thomas back-end, just against plan-owned workspaces,
+  and the same breakdown screen as ``k = 0`` on their solution.
 * ``k = 0`` plans run the Thomas recurrence in a *transposed* ``(N,
   M)`` layout — one contiguous ``M``-vector per recurrence step —
   between cache-blocked copies (:func:`repro.core.layout.transpose_into`).
@@ -150,8 +151,9 @@ def execute_plan(
     wall-time hook behind :class:`~repro.backends.trace.SolveTrace`.
     ``check`` / ``first_system`` set the breakdown policy — the
     singular-system policy of ``"lapack"`` plans, the
-    :func:`~repro.core.validation.sweep_breakdown` guard of ``k = 0`` plans — and the
-    batch-row numbering it reports (a shard passes its first row).
+    :func:`~repro.core.validation.sweep_breakdown` guard of ``k = 0``
+    and hybrid plans — and the batch-row numbering it reports (a shard
+    passes its first row).
     """
     if not ws.fits(plan):
         raise ValueError("workspace was built for a different plan")
@@ -199,6 +201,10 @@ def execute_plan(
         )
         t1 = time.perf_counter()
         x = fused.backward(out=out)
+        sweep_breakdown(
+            "hybrid elimination", x.T, None, check=check,
+            first_system=first_system,
+        )
         if stage_times is not None:
             stage_times.append(("tiled-pcr + fused forward", t1 - t0))
             stage_times.append(
@@ -220,6 +226,10 @@ def execute_plan(
     x = pthomas_solve_interleaved(
         red[0], red[1], red[2], red[3], plan.k,
         workspace=ws.pthomas, out=out,
+    )
+    sweep_breakdown(
+        "hybrid elimination", x.T, None, check=check,
+        first_system=first_system,
     )
     if stage_times is not None:
         stage_times.append(("tiled-pcr sweep", t1 - t0))

@@ -1,10 +1,10 @@
 """Distributed-solve ledgers — slab kernels plus inter-rank traffic.
 
-The distributed backend (:mod:`repro.distributed`) splits one batch of
-``N``-row systems into ``P`` contiguous row slabs, eliminates each slab
-independently with the two-sweep modified Thomas algorithm, solves the
-``2P``-row reduced interface system on rank 0, and back-substitutes the
-interiors.  This module prices that pipeline in the device-model
+The N-partition pipeline (:mod:`repro.distributed.partition`) splits
+one batch of ``N``-row systems into ``P`` contiguous row slabs,
+eliminates each slab independently with the two-sweep modified Thomas
+algorithm, solves the ``2P``-row reduced interface system on rank 0,
+and back-substitutes the interiors.  This module prices that pipeline in the device-model
 vocabulary so a :class:`~repro.backends.trace.SolveTrace` can carry
 predicted device/link times next to the measured host times:
 
@@ -28,8 +28,9 @@ predicted device/link times next to the measured host times:
 
 :func:`distributed_plan` assembles the full stage list — parallel ranks
 contribute their slowest member, transfers serialize on the link — with
-names matching the distributed backend's measured stages so the gpusim
-route can pair them positionally.
+names matching the stages
+:func:`~repro.distributed.partition.partitioned_solve` measures, so the
+gpusim ``ranks=`` route can pair them positionally.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def distributed_plan(
     """Predicted stage times of a ``P``-rank distributed solve.
 
     Returns ``(name, predicted_us)`` pairs whose names match the
-    distributed backend's measured stages (``partition``,
+    partition pipeline's measured stages (``partition``,
     ``local-eliminate [P ranks]``, ``reduced-solve``,
     ``backsub [P ranks]``, ``comms``) so the two ledgers pair
     positionally in a trace.  Ranks are modelled as identical devices

@@ -55,14 +55,14 @@ def huge_system_batch(
     seed: int = 0,
     dominance: float = 2.0,
 ):
-    """A few very long systems — the distributed backend's home shape.
+    """A few very long systems — the ``ranks=`` partition route's home shape.
 
     The evaluation sweeps stress large ``M`` with moderate ``N``; a
     domain-decomposed solver stresses the opposite corner (one huge
     grid line per system, split across ranks).  Memory-bound by
     construction: the coefficient arrays alone dwarf every cache
     level once ``N`` reaches the multi-million-row regime the
-    N-partition backend targets.
+    N-partition pipeline targets.
 
     ``n`` leads the signature (it is the axis under study); the batch
     width ``m`` defaults to a token handful of systems.

@@ -50,10 +50,10 @@ def _cyclic_batch(m, n, dtype=np.float64, seed=0):
 # ---------------------------------------------------------------- registry
 
 
-def test_registry_lists_all_five_backends():
+def test_registry_lists_all_four_backends():
     names = [b.name for b in default_registry().backends()]
     # priority order
-    assert names == ["engine", "threaded", "distributed", "numpy", "gpusim"]
+    assert names == ["engine", "threaded", "numpy", "gpusim"]
 
 
 def test_auto_picks_the_engine():

@@ -1,11 +1,12 @@
-"""Distributed N-partition backend: slab math, pool, registry, bugfix
-regressions.
+"""N-partition route: slab math, the ``ranks=`` route, registry, and
+the regressions that ride along.
 
-Covers the tentpole pipeline (partition → local eliminate → reduced
-interface solve → backsub) at three levels — the in-process reference,
-the multiprocess backend (bitwise identical to the reference by
-construction: same functions, same values), and the registry/router
-negotiation — plus the satellite regressions this PR ships:
+Covers the partition pipeline (partition → local eliminate → reduced
+interface solve → backsub) at two levels — the in-process reference
+and the public ``ranks=P`` route, which capability negotiation sends
+to ``gpusim`` (the one backend advertising ``max_ranks > 1``) and which
+runs the same pipeline, so it is bitwise identical to the reference —
+plus these regressions:
 
 * executor oversubscription floor (``max(32, cpus)`` → proportional cap)
 * disk-cache LRU determinism on coarse-mtime filesystems
@@ -15,6 +16,8 @@ negotiation — plus the satellite regressions this PR ships:
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,16 +25,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.backends import BackendError, bind_via
+from repro.backends.base import PerStepSession
 from repro.backends.registry import default_registry, reject_reason
 from repro.backends.request import SolveRequest
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+)
 from repro.distributed import (
-    DistributedWorkerError,
     effective_ranks,
-    get_pool,
     partitioned_solve_reference,
     slab_bounds,
 )
-from repro.distributed.backend import DistributedBackend
 from repro.engine import default_engine
 from repro.util.pools import (
     EXECUTOR_HARD_CAP,
@@ -39,6 +47,15 @@ from repro.util.pools import (
     executor_cap,
 )
 from repro.workloads.generators import huge_system_batch, random_batch
+
+#: the stages every ``ranks=P`` trace names, in order
+STAGES = (
+    "partition",
+    "local-eliminate [{p} ranks]",
+    "reduced-solve",
+    "backsub [{p} ranks]",
+    "comms",
+)
 
 
 def _engine_reference(a, b, c, d):
@@ -112,58 +129,45 @@ def test_partition_placement_invariance(ranks, n, seed, data):
     assert np.array_equal(x, x2)
 
 
-# -------------------------------------------------------------- backend
+# ------------------------------------------------------ the ranks= route
 
 
 def test_backend_bitwise_matches_reference():
-    a, b, c, d = huge_system_batch(513, m=4, seed=11)
-    for p in (2, 3, 4):
-        x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=p)
-        ref = partitioned_solve_reference(a, b, c, d, p)
-        assert np.array_equal(x, ref), f"ranks={p} not bitwise"
+    for dtype in (np.float64, np.float32):
+        a, b, c, d = huge_system_batch(513, m=4, dtype=dtype, seed=11)
+        for p in (2, 3, 4, 8):
+            x = repro.solve_batch(a, b, c, d, ranks=p)
+            ref = partitioned_solve_reference(a, b, c, d, p)
+            assert x.dtype == dtype
+            assert np.array_equal(x, ref), f"ranks={p} {dtype} not bitwise"
 
 
 def test_backend_elementwise_close_to_engine():
     a, b, c, d = huge_system_batch(1024, m=3, seed=1)
     ref = _engine_reference(a, b, c, d)
     for p in (2, 4):
-        x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=p)
+        x = repro.solve_batch(a, b, c, d, ranks=p)
         assert np.allclose(x, ref, rtol=1e-10, atol=1e-12)
-
-
-def test_single_rank_delegates_bitwise_to_engine():
-    a, b, c, d = random_batch(4, 128, seed=2)
-    ref = _engine_reference(a, b, c, d)
-    x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=1)
-    assert np.array_equal(x, ref)
-    assert repro.last_trace().ranks == 1
 
 
 def test_backend_honors_out():
     a, b, c, d = random_batch(3, 96, seed=5)
     out = np.empty_like(d)
-    x = repro.solve_batch(
-        a, b, c, d, backend="distributed", ranks=2, out=out
-    )
+    x = repro.solve_batch(a, b, c, d, ranks=2, out=out)
     assert x is out
     assert np.array_equal(out, partitioned_solve_reference(a, b, c, d, 2))
 
 
 def test_trace_carries_ranks_and_stages():
     a, b, c, d = random_batch(3, 200, seed=8)
-    repro.solve_batch(a, b, c, d, backend="distributed", ranks=3)
+    repro.solve_batch(a, b, c, d, ranks=3)
     tr = repro.last_trace()
-    assert tr.backend == "distributed"
+    assert tr.backend == "gpusim"
     assert tr.ranks == 3
-    names = [s.name for s in tr.stages]
-    for want in (
-        "partition",
-        "local-eliminate [3 ranks]",
-        "reduced-solve",
-        "backsub [3 ranks]",
-        "comms",
-    ):
-        assert want in names, names
+    pipeline = tr.stages[-len(STAGES):]  # after the registry's "validate"
+    assert [s.name for s in pipeline] == [s.format(p=3) for s in STAGES]
+    # every pipeline stage carries its device-model prediction
+    assert all(s.predicted_us is not None for s in pipeline)
 
 
 def test_periodic_via_fallback():
@@ -174,21 +178,54 @@ def test_periodic_via_fallback():
     b = 4.0 + np.abs(a) + np.abs(c)
     d = rng.standard_normal((m, n))
     ref = repro.solve_periodic_batch(a, b, c, d, backend="engine")
-    x = repro.solve_periodic_batch(
-        a, b, c, d, backend="distributed", ranks=2
-    )
+    x = repro.solve_periodic_batch(a, b, c, d, ranks=2)
     assert np.allclose(x, ref, rtol=1e-9, atol=1e-11)
     tr = repro.last_trace()
-    assert tr.periodic
+    assert tr.backend == "gpusim" and tr.periodic and tr.ranks == 2
     assert any(s.name.startswith("cyclic-y:") for s in tr.stages)
+
+    # corner reduction + two partitioned solves + the rank-one update,
+    # each step the shared implementation: bitwise, not just close
+    ap, bp, cp, u, w = cyclic_reduce(a, b, c)
+    y = partitioned_solve_reference(ap, bp, cp, d, 2)
+    q = partitioned_solve_reference(ap, bp, cp, u, 2)
+    scale = correction_scale(correction_denominator(q, w), n)
+    assert np.array_equal(x, apply_cyclic_correction(y, q, w, scale))
 
 
 def test_float32_supported():
     a, b, c, d = random_batch(3, 256, dtype=np.float32, seed=6)
     ref = _engine_reference(a, b, c, d)
-    x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=2)
+    x = repro.solve_batch(a, b, c, d, ranks=2)
     assert x.dtype == np.float32
     assert np.allclose(x, ref, rtol=1e-4, atol=1e-5)
+
+
+def test_ranks_session_steps_match_one_shot():
+    a, b, c, d = random_batch(3, 64, seed=59)
+    session = bind_via(a, b, c, d, ranks=2)
+    assert isinstance(session, PerStepSession)
+    assert session.request.decision.chosen == "gpusim"
+    rng = np.random.default_rng(59)
+    try:
+        d1 = rng.standard_normal(d.shape)
+        x1 = session.step(d1)
+        assert np.array_equal(x1, partitioned_solve_reference(a, b, c, d1, 2))
+        # transposed-layout step agrees with the straight step
+        d2 = rng.standard_normal(d.shape)
+        xt = session.step_t(np.ascontiguousarray(d2.T))
+        assert np.array_equal(
+            xt.T, partitioned_solve_reference(a, b, c, d2, 2)
+        )
+        out_t = np.empty_like(xt)
+        assert session.step_t(np.ascontiguousarray(d2.T), out_t) is out_t
+        assert np.array_equal(out_t, xt)
+        assert session.steps == 3
+        assert repro.last_trace().ranks == 2
+    finally:
+        session.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        session.step(d)
 
 
 # ----------------------------------------------------- registry / router
@@ -196,28 +233,36 @@ def test_float32_supported():
 
 def test_registry_negotiation():
     names = [name for name, _ in repro.list_backends()]
-    assert "distributed" in names
+    assert "distributed" not in names
 
     a, b, c, d = random_batch(4, 64, seed=0)
     req = SolveRequest.build(a, b, c, d, coerced=True, ranks=2)
     engine = default_registry().get("engine")
-    dist = default_registry().get("distributed")
+    gpusim = default_registry().get("gpusim")
     assert reject_reason(engine.capabilities(), req) is not None
-    assert reject_reason(dist.capabilities(), req) is None
+    assert reject_reason(gpusim.capabilities(), req) is None
+    multi_rank = [
+        name for name, caps in repro.list_backends() if caps.max_ranks > 1
+    ]
+    assert multi_rank == ["gpusim"]
 
 
 def test_auto_routes_ranks_to_distributed():
+    """``ranks > 1`` reaches the partition pipeline by capability
+    filtering alone: no router rule names a backend for it."""
     a, b, c, d = random_batch(4, 96, seed=0)
     repro.solve_batch(a, b, c, d, ranks=2)
     tr = repro.last_trace()
-    assert tr.backend == "distributed"
-    assert tr.decision is not None and tr.decision.chosen == "distributed"
+    assert tr.backend == "gpusim" and tr.ranks == 2
+    assert tr.decision is not None and tr.decision.chosen == "gpusim"
+    assert tr.decision.candidates == ("gpusim",)
 
 
 def test_plain_auto_never_picks_distributed():
     a, b, c, d = random_batch(4, 96, seed=0)
     repro.solve_batch(a, b, c, d)
-    assert repro.last_trace().backend == "engine"
+    tr = repro.last_trace()
+    assert tr.backend == "engine" and tr.ranks == 1
 
 
 def test_gpusim_prices_ranks():
@@ -229,26 +274,19 @@ def test_gpusim_prices_ranks():
     assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 4))
 
 
-# -------------------------------------------------------------- the pool
-
-
-def test_worker_crash_raises_typed_error_and_recovers():
-    a, b, c, d = random_batch(3, 64, seed=7)
-    backend = DistributedBackend(timeout_s=30.0)
-    # warm solve so the pool exists
-    x = backend.solve_batch(a, b, c, d, ranks=2)
-    assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 2))
-
-    pool = get_pool(2)
-    pool._procs[0].kill()
-    with pytest.raises(DistributedWorkerError):
-        backend.solve_batch(a, b, c, d, ranks=2)
-    assert pool.broken
-
-    # the next request rebuilds the pool and succeeds
-    x = backend.solve_batch(a, b, c, d, ranks=2)
-    assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 2))
-    assert get_pool(2) is not pool
+def test_retired_process_pool_is_gone():
+    retired = "distributed"
+    a, b, c, d = random_batch(2, 32, seed=0)
+    with pytest.raises(BackendError, match="unknown backend"):
+        repro.solve_batch(a, b, c, d, backend=retired, ranks=2)
+    assert not [name for name in repro.__all__ if name.startswith("Distributed")]
+    probe = "import sys, repro; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 # ----------------------------------------- satellite: executor caps

@@ -375,3 +375,45 @@ def test_block_guard_names_no_row_for_wide_blocks():
     x = fact.solve(D)
     with pytest.raises(SingularSystemError, match=r"system 1, row None"):
         fact.breakdown(None, x, check=True)
+
+
+def _hybrid_zero_pivot(m=3, n=8):
+    """``a = b = c = 1``: the hybrid route divides by a zero ``b``.
+
+    System 0 is made dominant; systems ``1..m-1`` break down.
+    """
+    a, b, c, d = (np.ones((m, n)) for _ in range(4))
+    a[:, 0] = 0.0
+    c[:, -1] = 0.0
+    b[0] = 4.0
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_hybrid_zero_pivot_raises_under_check(k):
+    a, b, c, d = _hybrid_zero_pivot()
+    engine = ExecutionEngine()
+    calls = {
+        "cold": lambda: repro.solve_batch(a, b, c, d, k=k, fingerprint=False),
+        "cold sharded": lambda: engine.solve_batch(
+            a, b, c, d, k=k, workers=2, fingerprint=False
+        ),
+        # miss, factored and hit: every stored-factorization sweep
+        **{
+            f"stored {i}": lambda: engine.solve_batch(a, b, c, d, k=k, fingerprint=True)
+            for i in range(3)
+        },
+        "prepared": lambda: engine.prepare(a, b, c, k=k).solve(d),
+    }
+    for path, call in calls.items():
+        with pytest.raises(SingularSystemError, match=r"hybrid elimination") as err:
+            call()
+        assert err.value.systems == (1, 2), path
+        assert err.value.row is None, path
+
+    with pytest.warns(RuntimeWarning, match=r"broke down in system\(s\) \[1, 2\]"):
+        x = repro.solve_batch(a, b, c, d, k=k, check=False, fingerprint=False)
+    assert np.isfinite(x[0]).all()
+    assert not np.isfinite(x[1:]).all(axis=1).any()

@@ -1,15 +1,15 @@
 """Bound sessions: bind once, step many — bitwise against one-shot.
 
-The bind/execute split promises that a :class:`BoundSolve` (or any of
-its siblings: the generic ``PerStepSession``, the distributed session)
-is *pure orchestration*: stepping a sequence of right-hand sides
-through one bound session produces, step for step, the **bitwise**
-result of independent one-shot solves wherever the one-shot path makes
-that promise (every ``k = 0`` route, all banded routes).  These tests
-pin that contract across the four system kinds and the backend
-surface — engine, threaded, the generic per-step fallback, the
-service's shared-window sessions, and the distributed pipeline — plus
-the transposed-layout ``step_t`` fast path and the session lifecycle.
+The bind/execute split promises that a :class:`BoundSolve` (or its
+sibling, the generic ``PerStepSession``) is *pure orchestration*:
+stepping a sequence of right-hand sides through one bound session
+produces, step for step, the **bitwise** result of independent
+one-shot solves wherever the one-shot path makes that promise (every
+``k = 0`` route, all banded routes).  These tests pin that contract
+across the four system kinds and the backend surface — engine,
+threaded, the generic per-step fallback, and the service's
+shared-window sessions — plus the transposed-layout ``step_t`` fast
+path and the session lifecycle.
 """
 
 from __future__ import annotations
@@ -343,64 +343,3 @@ def test_service_reuses_bound_sessions_across_windows():
             np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
     # identical windows land on one cached bound session
     assert desc["bound_sessions"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# the distributed session
-# ---------------------------------------------------------------------------
-
-
-def test_distributed_session_steps_match_one_shot_and_survive_epochs():
-    from repro.backends.request import SolveRequest
-    from repro.distributed import partitioned_solve_reference
-    from repro.distributed.backend import (
-        DistributedBackend,
-        DistributedBoundSolve,
-    )
-
-    a, b, c, d = random_batch(3, 64, seed=59)
-    backend = DistributedBackend(timeout_s=60.0)
-    session = backend.bind(SolveRequest.build(a, b, c, d, ranks=2))
-    assert isinstance(session, DistributedBoundSolve)
-    assert session.describe()["mode"] == "distributed"
-    rng = np.random.default_rng(59)
-    try:
-        d1 = rng.standard_normal(d.shape)
-        x1 = session.step(d1).copy()
-        assert np.array_equal(x1, partitioned_solve_reference(a, b, c, d1, 2))
-
-        # another solve scatters different coefficients into the shared
-        # arenas (the epoch moves); the session must re-ship, not trust
-        # stale slabs
-        a2, b2, c2, d2 = random_batch(3, 64, seed=61)
-        backend.solve_batch(a2, b2, c2, d2, ranks=2)
-
-        d3 = rng.standard_normal(d.shape)
-        x3 = session.step(d3)
-        assert np.array_equal(x3, partitioned_solve_reference(a, b, c, d3, 2))
-
-        # transposed-layout step agrees with the straight step
-        d4 = rng.standard_normal(d.shape)
-        xt = session.step_t(np.ascontiguousarray(d4.T))
-        assert np.array_equal(
-            xt.T, partitioned_solve_reference(a, b, c, d4, 2)
-        )
-        assert session.steps == 3
-    finally:
-        session.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        session.step(d)
-
-
-def test_distributed_bind_at_one_rank_is_the_engine_anchor():
-    from repro.backends.request import SolveRequest
-    from repro.distributed.backend import DistributedBackend
-
-    a, b, c, d = random_batch(3, 24, seed=67)
-    backend = DistributedBackend()
-    with backend.bind(SolveRequest.build(a, b, c, d, ranks=1)) as session:
-        assert isinstance(session, BoundSolve)
-        x = session.step(d)
-        assert np.array_equal(
-            x, repro.solve_batch(a, b, c, d, backend="engine", k=0)
-        )
